@@ -52,7 +52,8 @@ class AomotoComplex:
         self.xi = xi
         self.d1 = alg.wedge_matrix(xi)
         # the square of the differential vanishes since xi wedge xi = 0
-        assert (self.d1 @ xi).is_zero()
+        if not (self.d1 @ xi).is_zero():
+            raise RuntimeError("wedge matrix does not annihilate xi; this is a bug")
 
     @property
     def rank_d0(self) -> int:

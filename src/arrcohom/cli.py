@@ -6,9 +6,9 @@ Subcommands: ``lattice`` (intersection points and divisible-point table),
 report). Arrangements come from a file (one line per projective line,
 three integers, ``#`` comments) or from ``--builtin``.
 
-Exit codes: 0 success, 2 unparseable input or bad usage, 3 invalid
-arrangement (zero or duplicate lines, fewer than three), 4 modulus not
-prime.
+Exit codes: 0 success, 2 unreadable or unparseable input or bad usage,
+3 invalid arrangement (zero or duplicate lines, fewer than three), 4
+modulus not prime.
 """
 
 from __future__ import annotations
@@ -56,8 +56,12 @@ def canonical_json(obj) -> str:
 
 
 def read_arrangement_file(path: str) -> ProjArrangement:
+    try:
+        content = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
     triples = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(content.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -271,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, catalog.BadParameterError, BadIndexError, FileNotFoundError) as exc:
+    except (ParseError, catalog.BadParameterError, BadIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ZeroLineError, DuplicateLineError, TooFewLinesError) as exc:

@@ -95,7 +95,9 @@ def delta_tot(aff: AffineArrangement, p: int) -> DegenerationMap:
     deg1 = FpMatrix(p, m)
     dmap = DegenerationMap("total", None, source, target, deg1, induced_deg2(source, target, deg1))
     if not verify_homomorphism(dmap, trials=4):
-        raise AssertionError("total degeneration failed its well-definedness check")
+        raise RuntimeError(
+            "total degeneration failed its well-definedness check; this is a bug"
+        )
     return dmap
 
 
@@ -122,7 +124,9 @@ def delta_dir(aff: AffineArrangement, class_index: int, p: int) -> DegenerationM
         "directional", class_index, source, target, deg1, induced_deg2(source, target, deg1)
     )
     if not verify_homomorphism(dmap, trials=4):
-        raise AssertionError("directional degeneration failed its well-definedness check")
+        raise RuntimeError(
+            "directional degeneration failed its well-definedness check; this is a bug"
+        )
     return dmap
 
 

@@ -303,7 +303,8 @@ def decone(
         pt = intersect(arr.lines[members[0]], inf_line)
         m = len(incidences[pt]) - 1
         # every line through pt other than the infinity line is affine
-        assert m == len(members)
+        if m != len(members):
+            raise RuntimeError(f"class {members} has {m} lines at infinity; this is a bug")
         class_points.append((pt, m))
 
     finite = sorted(

@@ -1,14 +1,18 @@
 """Orlik-Solomon algebra of an affine line arrangement over F_p, degrees 0..2.
 
-Degree 2 is built on the per-point decomposition: each finite intersection
-point X contributes the wedges of its smallest incident line with every
-other incident line. Wedges of parallel lines are zero, and the three-term
-relation at a point reduces any remaining wedge in a single subtraction,
-so the whole product structure is one table of pair reductions.
+Degree 2 is built on the Brieskorn decomposition A^2 = sum over finite
+intersection points X of A^2_X. A wedge e_i ^ e_j lands in the summand of
+the point where lines i and j meet, and is zero for parallel lines. Each
+summand has the basis e_a ^ e_j, where a is X's smallest incident line and
+j runs over X's other lines. The three-term relation at X says
+(e_i - e_a) ^ (e_j - e_a) = 0, so writing the part of a one-form x on X as
+S_X(x) e_a + sum_j x_j (e_j - e_a), with S_X(x) the sum of x_i over i in X,
+gives the whole product in closed form: x ^ y has coefficient
+S_X(x) y_j - S_X(y) x_j on the basis symbol (X, j).
 
 ``QuotientOSOracle`` computes the same degree as the free module on all
 line pairs modulo the defining relations. It shares nothing with the
-table construction apart from generic elimination and exists purely as an
+per-point formula apart from generic elimination and exists purely as an
 independent cross check.
 """
 
@@ -25,7 +29,6 @@ from .modp import (
     FpVector,
     ModulusMismatchError,
     _check_modulus,
-    _matmul_mod,
     _rref_raw,
 )
 
@@ -68,33 +71,11 @@ class OSAlgebra:
             symbols.extend((x, j) for j in inc[1:])
         self.symbols = tuple(symbols)
         self.dim2 = len(symbols)
-        self._symbol_col = {sym: c for c, sym in enumerate(symbols)}
-        self._point_of_pair: dict[tuple[int, int], int] = {}
-        for x, inc in enumerate(self.points):
-            for i, j in combinations(inc, 2):
-                self._point_of_pair[(i, j)] = x
-        self._pair_rows = self._build_pair_rows()
-
-    def _pair_index(self, i: int, j: int) -> int:
-        # row of the pair (i, j), i < j, in lexicographic order
-        n = self.n
-        return (2 * n - i - 1) * i // 2 + (j - i - 1)
-
-    def _build_pair_rows(self) -> np.ndarray:
-        p = self.p
-        rows = np.zeros((self.n * (self.n - 1) // 2, self.dim2), dtype=np.int64)
-        for i, j in combinations(range(self.n), 2):
-            if self.class_of[i] == self.class_of[j]:
-                continue  # parallel lines wedge to zero
-            r = self._pair_index(i, j)
-            x = self._point_of_pair[(i, j)]
-            anchor = self.points[x][0]
-            if i == anchor:
-                rows[r, self._symbol_col[(x, j)]] = 1
-            else:
-                rows[r, self._symbol_col[(x, j)]] = 1
-                rows[r, self._symbol_col[(x, i)]] = p - 1
-        return rows
+        # index arrays of the per-point formula: point and line of each
+        # symbol, and the anchor (smallest incident line) of each point
+        self._sym_point = np.array([x for x, _ in symbols], dtype=np.intp)
+        self._sym_line = np.array([j for _, j in symbols], dtype=np.intp)
+        self._anchor = np.array([inc[0] for inc in self.points], dtype=np.intp)
 
     # ---- element constructors -------------------------------------------
 
@@ -143,21 +124,22 @@ class OSAlgebra:
 
     def pair_value(self, i: int, j: int) -> FpVector:
         """Reduction of e_i wedge e_j into the degree 2 basis (i > j negates)."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"pair ({i}, {j}) out of range")
-        if i == j:
-            return self.zero2()
-        if i < j:
-            return FpVector(self.p, self._pair_rows[self._pair_index(i, j)])
-        return FpVector(self.p, (-self._pair_rows[self._pair_index(j, i)]) % self.p)
+        return self.wedge11(self.unit(i), self.unit(j))
+
+    def _point_sums(self, x: np.ndarray) -> np.ndarray:
+        # S_X(x) for every finite point X, reduced mod p
+        sums = x[self._anchor]
+        np.add.at(sums, self._sym_point, x[self._sym_line])
+        return sums % self.p
 
     def wedge11(self, x: FpVector, y: FpVector) -> FpVector:
         """Bilinear antisymmetric product of two degree 1 elements."""
         self._check1(x)
         self._check1(y)
-        outer = (np.outer(x.data, y.data) - np.outer(y.data, x.data)) % self.p
-        coeffs = outer[np.triu_indices(self.n, k=1)]
-        return FpVector(self.p, _matmul_mod(coeffs, self._pair_rows, self.p))
+        pt, ln = self._sym_point, self._sym_line
+        sx, sy = self._point_sums(x.data)[pt], self._point_sums(y.data)[pt]
+        # both factors of each product are below p, so it stays below 2**62
+        return FpVector(self.p, sx * y.data[ln] - sy * x.data[ln])
 
     def wedge_matrix(self, xi: FpVector) -> FpMatrix:
         """Matrix of (xi wedge -) from degree 1 to degree 2; column j is the

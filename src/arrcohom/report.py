@@ -191,11 +191,16 @@ class VanishingReport:
         }
 
 
-def beta1_of_deconing(arr: ProjArrangement, infinity_index: int, p: int) -> int:
+def beta1_of_deconing(
+    arr: ProjArrangement,
+    infinity_index: int,
+    p: int,
+    lat: IntersectionLattice | None = None,
+) -> int:
     """Modular bound for one choice of infinity line: the first cohomology
     rank of the wedge complex of the deconed arrangement at the all-ones
     one-form."""
-    alg = OSAlgebra(decone(arr, infinity_index), p)
+    alg = OSAlgebra(decone(arr, infinity_index, lat), p)
     return beta1_full(alg, alg.ones()).value
 
 
@@ -215,7 +220,7 @@ def report(arr: ProjArrangement) -> VanishingReport:
         mus = table.column(p)
         min_mu = min(mus)
         witness = mus.index(min_mu)
-        betas = tuple(beta1_of_deconing(arr, i, p) for i in range(degree))
+        betas = tuple(beta1_of_deconing(arr, i, p, lat) for i in range(degree))
         if len(set(betas)) != 1:
             raise RuntimeError(
                 f"modular bound depends on the deconing for p={p}; this is a bug"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from arrcohom import catalog
@@ -14,6 +15,7 @@ from arrcohom.aomoto import (
     sum_zero_basis,
 )
 from arrcohom.geometry import decone
+from arrcohom.modp import FpMatrix
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -178,3 +180,14 @@ def test_pencil_deconing_degenerate_path():
     alg = OSAlgebra(aff, 3)
     assert alg.dim2 == 0
     assert beta1_full(alg, alg.ones()).value == 4
+
+
+def test_complex_rejects_wedge_matrix_not_killing_xi(monkeypatch, braid):
+    alg = OSAlgebra(decone(braid, 2), 3)
+
+    def broken(self, xi):
+        return FpMatrix(self.p, np.ones((self.dim2, self.n), dtype=np.int64))
+
+    monkeypatch.setattr(OSAlgebra, "wedge_matrix", broken)
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        AomotoComplex(alg, alg.ones())  # coefficient sum 5 is nonzero mod 3

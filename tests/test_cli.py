@@ -128,6 +128,20 @@ def test_exit_parse_error(capsys, tmp_path):
     assert run(capsys, "lattice", str(path2))[0] == 2
 
 
+def test_exit_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.arr"
+    path.write_bytes(b"1 0 0\n0 1 0\n0 0 1 # \xe9\n")
+    code, _, err = run(capsys, "lattice", str(path))
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_exit_directory_input(capsys, tmp_path):
+    code, _, err = run(capsys, "beta1", str(tmp_path), "--prime", "3")
+    assert code == 2
+    assert "cannot read" in err
+
+
 def test_exit_not_prime(capsys):
     code, _, err = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "4")
     assert code == 4

@@ -1,13 +1,13 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from arrcohom import catalog
-from arrcohom.aomoto import central_fixture, parallel_fixture
-from arrcohom.geometry import decone
-from arrcohom.modp import FpVector, _rref_raw
+from arrcohom.aomoto import beta1_full, central_fixture, parallel_fixture
+from arrcohom.geometry import ProjArrangement, ProjLine, decone
+from arrcohom.modp import FpMatrix, FpVector, _rref_raw
 from arrcohom.orlik_solomon import (
     OSAlgebra,
     QuotientOSOracle,
@@ -189,3 +189,53 @@ def test_dimension_checks():
         alg.deg1([1, 2, 3])
     with pytest.raises(Exception):
         alg.wedge11(alg.ones(), FpVector(5, [1] * alg.n))
+
+
+def box_arrangements(count, seed):
+    """Seeded arrangements of 6..12 lines with coefficients in [-2, 2].
+
+    Line 0 is z = 0 and goes to infinity, so lines sharing a direction
+    become parallel; small coefficients force many concurrences. Samples
+    with a finite point of multiplicity above 5 or a single parallel class
+    are redrawn.
+    """
+    box = {ProjLine(t).coeffs for t in product(range(-2, 3), repeat=3) if any(t)}
+    box = sorted(box - {(0, 0, 1)})
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        arr = ProjArrangement.from_coeffs([(0, 0, 1)] + rng.sample(box, rng.randint(5, 11)))
+        aff = decone(arr, 0)
+        if aff.num_classes >= 2 and all(len(inc) <= 5 for _, inc in aff.finite_points):
+            out.append(aff)
+    return out
+
+
+def test_wedge_matches_oracle_on_box_arrangements():
+    affs = box_arrangements(50, seed=2024)
+    # the generator really mixes multiplicities and parallels
+    mults = {len(inc) for aff in affs for _, inc in aff.finite_points}
+    assert mults == {2, 3, 4, 5}
+    assert sum(any(len(c) > 1 for c in aff.classes) for aff in affs) >= 25
+    rng = random.Random(7)
+    for aff in affs:
+        for p in (2, 3, 5, 2**31 - 1):
+            alg = OSAlgebra(aff, p)
+            orc = QuotientOSOracle(aff, p)
+            assert alg.dim2 == orc.dim2
+            pairs = list(combinations(range(aff.n), 2))
+            values = [alg.pair_value(i, j) for i, j in pairs]
+            for (i, j), value in zip(pairs, values):
+                assert value.is_zero() == (not orc.pair_reduction(i, j).any())
+            x, y, z = (alg.deg1([rng.randrange(p) for _ in range(aff.n)]) for _ in range(3))
+            for xi in (alg.ones(), x, y):
+                assert beta1_full(alg, xi).value == orc.beta1(xi.data)
+            # two full-size factors against their expansion over the oracle's
+            # pair coordinates (exact matmul)
+            table = FpMatrix(p, np.stack([v.data for v in values], axis=1))
+            assert alg.wedge11(y, z) == table @ FpVector(p, orc.pair_coords(y.data, z.data))
+            # residues p - 1 everywhere: at a point of multiplicity m >= 4 the
+            # unreduced coefficient (m - 1)(p - 1)**2 would leave int64 at p = 2**31 - 1
+            for j in range(aff.n):
+                lhs = alg.wedge11(-alg.ones(), -alg.unit(j))
+                assert lhs == alg.wedge11(alg.ones(), alg.unit(j))

@@ -6,6 +6,7 @@ by one transversal)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +118,9 @@ def beta1_restricted(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     return Beta1Result(value, "restricted", certificate)
 
 
+# The fixtures are pure and frozen, and every degeneration map of an
+# arrangement targets one of them; caching spares a lattice per map.
+@lru_cache(maxsize=256)
 def central_fixture(s: int) -> AffineArrangement:
     """s affine lines through the origin with pairwise distinct slopes."""
     if s < 2:
@@ -125,6 +129,7 @@ def central_fixture(s: int) -> AffineArrangement:
     return decone(ProjArrangement.from_coeffs(coeffs), 0)
 
 
+@lru_cache(maxsize=256)
 def parallel_fixture(r: int) -> AffineArrangement:
     """r parallel vertical lines x = 1..r plus the transversal y = x.
 

@@ -2,13 +2,16 @@
 
 Subcommands: ``lattice`` (intersection points and divisible-point table),
 ``beta1`` (modular first cohomology rank of a deconing), ``degenerate``
-(degeneration matrices plus verification), ``report`` (full vanishing
-report). Arrangements come from a file (one line per projective line,
-three integers, ``#`` comments) or from ``--builtin``.
+(degeneration matrices and the result of their construction-time
+verification), ``report`` (full vanishing report). Arrangements come
+from a file (one line per projective line, three integers, ``#``
+comments) or from ``--builtin``.
 
-Exit codes: 0 success, 2 unreadable or unparseable input or bad usage,
-3 invalid arrangement (zero or duplicate lines, fewer than three), 4
-modulus not prime.
+Exit codes: 0 success, 1 ``beta1 --all-deconings`` found deconings that
+disagree although p divides the degree (deconing invariance broken, a
+bug), 2 unreadable or unparseable input or bad usage, 3 invalid
+arrangement (zero or duplicate lines, fewer than three), 4 modulus not
+prime.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .degeneration import (
     TooFewClassesError,
     delta_dir,
     delta_tot,
-    verify_homomorphism,
 )
 from .geometry import (
     BadIndexError,
@@ -123,9 +125,10 @@ def cmd_beta1(args) -> int:
     else:
         choices = [args.infinity if args.infinity is not None else 0]
     results = []
+    lat = lattice(arr)
     for idx in choices:
         arr.check_index(idx)
-        alg = OSAlgebra(decone(arr, idx), p)
+        alg = OSAlgebra(decone(arr, idx, lat), p)
         results.append((idx, beta1_full(alg, alg.ones())))
     if args.json:
         payload = {
@@ -186,7 +189,7 @@ def cmd_degenerate(args) -> int:
                     "class": a,
                     "deg1": dmap.deg1_matrix.tolist(),
                     "deg2": dmap.deg2_matrix.tolist(),
-                    "verified": verify_homomorphism(dmap),
+                    "verified": dmap.verified,
                 }
                 for kind, a, dmap in maps
             ],
@@ -207,7 +210,7 @@ def cmd_degenerate(args) -> int:
         print(" deg2 matrix:")
         for line in _matrix_lines(dmap.deg2_matrix):
             print(" " + line)
-        print(f" verified: {verify_homomorphism(dmap)}")
+        print(f" verified: {dmap.verified}")
     return EXIT_OK
 
 

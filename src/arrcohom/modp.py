@@ -80,7 +80,10 @@ def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         a[r] = (a[r] * inv) % p
         factors = a[:, c].copy()
         factors[r] = 0
-        a = (a - np.outer(factors, a[r])) % p
+        # in place: one matrix-sized temporary per pivot, so the allocator
+        # does not hand pages back and fault them in again on every pivot
+        a -= np.outer(factors, a[r])
+        a %= p
         pivots.append(c)
         r += 1
     return a, pivots

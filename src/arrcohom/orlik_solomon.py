@@ -76,6 +76,8 @@ class OSAlgebra:
         self._sym_point = np.array([x for x, _ in symbols], dtype=np.intp)
         self._sym_line = np.array([j for _, j in symbols], dtype=np.intp)
         self._anchor = np.array([inc[0] for inc in self.points], dtype=np.intp)
+        # each point's symbols are contiguous; index of the first one
+        self._sym_start = np.cumsum([0] + [len(inc) - 1 for inc in self.points])[:-1]
 
     # ---- element constructors -------------------------------------------
 
@@ -127,26 +129,52 @@ class OSAlgebra:
         return self.wedge11(self.unit(i), self.unit(j))
 
     def _point_sums(self, x: np.ndarray) -> np.ndarray:
-        # S_X(x) for every finite point X, reduced mod p
-        sums = x[self._anchor]
-        np.add.at(sums, self._sym_point, x[self._sym_line])
-        return sums % self.p
+        # S_X(x) for every finite point X (one row per point), reduced mod p
+        segment = np.add.reduceat(x[self._sym_line], self._sym_start, axis=0)
+        return (x[self._anchor] + segment) % self.p
 
-    def wedge11(self, x: FpVector, y: FpVector) -> FpVector:
-        """Bilinear antisymmetric product of two degree 1 elements."""
+    def _wedge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # S_X(x) y_j - S_X(y) x_j, in place so that a block result has at
+        # most three dim2-sized temporaries; both factors of each product
+        # are below p, so it stays below 2**62
+        pt, ln = self._sym_point, self._sym_line
+        out = self._point_sums(x)[pt]
+        out *= y[ln]
+        rhs = self._point_sums(y)[pt]
+        rhs *= x[ln]
+        out -= rhs
+        return out
+
+    def wedge11(self, x, y):
+        """Bilinear antisymmetric product of degree 1 elements.
+
+        Two ``FpVector`` one-forms give their product as an ``FpVector`` of
+        length dim2. Two ``FpMatrix`` operands of shape n x k, whose columns
+        are one-forms, give the dim2 x k ``FpMatrix`` whose column c is the
+        product of the two columns c; their moduli, row counts and column
+        counts must match the algebra and each other.
+        """
+        if isinstance(x, FpMatrix) and isinstance(y, FpMatrix):
+            for m in (x, y):
+                if m.p != self.p:
+                    raise ModulusMismatchError(f"p={m.p} vs algebra p={self.p}")
+                if m.rows != self.n:
+                    raise DimensionMismatchError(
+                        f"degree 1 block has {m.rows} rows, expected {self.n}"
+                    )
+            if x.cols != y.cols:
+                raise DimensionMismatchError(f"column counts {x.cols} vs {y.cols}")
+            return FpMatrix(self.p, self._wedge(x.data, y.data))
         self._check1(x)
         self._check1(y)
-        pt, ln = self._sym_point, self._sym_line
-        sx, sy = self._point_sums(x.data)[pt], self._point_sums(y.data)[pt]
-        # both factors of each product are below p, so it stays below 2**62
-        return FpVector(self.p, sx * y.data[ln] - sy * x.data[ln])
+        return FpVector(self.p, self._wedge(x.data, y.data))
 
     def wedge_matrix(self, xi: FpVector) -> FpMatrix:
         """Matrix of (xi wedge -) from degree 1 to degree 2; column j is the
         image of e_j."""
         self._check1(xi)
-        cols = [self.wedge11(xi, self.unit(j)).data for j in range(self.n)]
-        return FpMatrix(self.p, np.stack(cols, axis=1))
+        repeated = FpMatrix(self.p, np.repeat(xi.data[:, None], self.n, axis=1))
+        return self.wedge11(repeated, FpMatrix(self.p, np.eye(self.n, dtype=np.int64)))
 
     def coeff_sum_is_zero(self, x: FpVector) -> bool:
         """Membership in the degree 1 subspace of coordinate sum zero."""

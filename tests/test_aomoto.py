@@ -41,6 +41,12 @@ def test_fixture_shapes():
         parallel_fixture(0)
 
 
+def test_fixtures_are_memoized():
+    assert central_fixture(5) is central_fixture(5)
+    assert parallel_fixture(4) is parallel_fixture(4)
+    assert central_fixture(5) is not central_fixture(6)
+
+
 def test_complex_squares_to_zero():
     rng = random.Random(13)
     for arr in (catalog.braid_a3(), catalog.fig3(), catalog.generic(5)):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from arrcohom import cli
+from arrcohom.aomoto import Beta1Result
 from arrcohom.cli import main
 
 
@@ -51,6 +53,20 @@ def test_beta1_all_deconings(capsys):
     assert "all 6 deconings agree: beta1 = 1" in out
 
 
+def test_beta1_all_deconings_disagreement_exits_1(capsys, monkeypatch):
+    honest = cli.beta1_full
+
+    def skewed(alg, xi):
+        res = honest(alg, xi)
+        return Beta1Result(res.value + alg.aff.infinity_index, res.method, res.certificate)
+
+    monkeypatch.setattr(cli, "beta1_full", skewed)
+    code, _, err = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "3",
+                       "--all-deconings")
+    assert code == 1
+    assert "error: deconing changed beta1 although p divides the degree" in err
+
+
 def test_beta1_pencil_degenerate_input(capsys):
     code, out, _ = run(capsys, "beta1", "--builtin", "pencil", "--m", "6",
                        "--prime", "3", "--infinity", "0")
@@ -71,6 +87,16 @@ def test_degenerate_json(capsys):
     payload = json.loads(out)
     assert payload["classes"] == [[0, 1], [2], [3, 4]]
     assert all(entry["verified"] for entry in payload["maps"])
+
+
+def test_degenerate_verifies_every_map_at_a_large_point(capsys):
+    # 40 lines through one point after deconing: 9,880 concurrent triples
+    code, out, _ = run(capsys, "degenerate", "--builtin", "near-pencil", "--m", "41",
+                       "--prime", "5", "--infinity", "40", "--json")
+    assert code == 0
+    maps = json.loads(out)["maps"]
+    assert len(maps) == 41
+    assert all(entry["verified"] for entry in maps)
 
 
 def test_report_json_round_trip(capsys):

@@ -4,8 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from arrcohom import catalog
-from arrcohom.aomoto import sum_zero_basis
+from arrcohom import catalog, degeneration
+from arrcohom.aomoto import parallel_fixture, sum_zero_basis
 from arrcohom.degeneration import (
     BadClassError,
     DegenerationMap,
@@ -19,7 +19,7 @@ from arrcohom.degeneration import (
 )
 from arrcohom.geometry import decone
 from arrcohom.modp import FpMatrix
-from arrcohom.orlik_solomon import OSAlgebra
+from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
 
 def fig3_affine():
@@ -130,6 +130,69 @@ def test_corrupted_map_fails_verification():
         induced_deg2(good.source, good.target, deg1),
     )
     assert not verify_homomorphism(bad)
+
+
+# the checks run over pairs and triples in blocks; a width of 1 or 2 puts
+# block boundaries everywhere
+CHUNK_WIDTHS = pytest.mark.parametrize("chunk", [1, 2, degeneration._CHUNK])
+
+
+@CHUNK_WIDTHS
+def test_broken_triple_relation_fails_verification(chunk, monkeypatch):
+    monkeypatch.setattr(degeneration, "_CHUNK", chunk)
+    # classes of two lines of a concurrent triple go to two parallels of the
+    # model, every other line to the transversal: each parallel pair still
+    # maps to a vanishing wedge, but the triple's relation does not hold
+    aff = decone(catalog.braid_a3(), 2)
+    p = 3
+    i, j, k = next(iter(relation_triples(aff)))
+    cls = aff.class_of_positions()
+    source = OSAlgebra(aff, p)
+    target = OSAlgebra(parallel_fixture(2), p)
+    m = np.zeros((3, aff.n), dtype=np.int64)
+    for pos in range(aff.n):
+        m[{cls[i]: 0, cls[j]: 1}.get(cls[pos], 2), pos] = 1
+    deg1 = FpMatrix(p, m)
+    images = [deg1.column(pos) for pos in range(aff.n)]
+    for a, b in relation_pairs(aff):
+        assert target.wedge11(images[a], images[b]).is_zero()
+    bad = DegenerationMap(
+        "directional", None, source, target, deg1, induced_deg2(source, target, deg1)
+    )
+    assert not verify_homomorphism(bad)
+
+
+@CHUNK_WIDTHS
+def test_flipped_degree2_entry_fails_verification(chunk, monkeypatch):
+    monkeypatch.setattr(degeneration, "_CHUNK", chunk)
+    for dmap in (delta_tot(fig3_affine(), 3), delta_dir(fig3_affine(), 0, 3)):
+        assert verify_homomorphism(dmap)
+        m = np.array(dmap.deg2_matrix.tolist(), dtype=np.int64)
+        m[0, 0] += 1
+        bad = DegenerationMap(
+            dmap.kind, dmap.class_index, dmap.source, dmap.target, dmap.deg1_matrix,
+            FpMatrix(3, m),
+        )
+        assert not verify_homomorphism(bad)
+        # the line-pair stage alone catches it
+        assert not verify_homomorphism(bad, trials=0)
+
+
+def test_construction_rejects_corrupted_degree2(monkeypatch):
+    honest = degeneration.induced_deg2
+
+    def corrupted(source, target, deg1_matrix):
+        m = np.array(honest(source, target, deg1_matrix).tolist(), dtype=np.int64)
+        m[-1, -1] += 1
+        return FpMatrix(target.p, m)
+
+    assert delta_tot(fig3_affine(), 3).verified
+    assert delta_dir(fig3_affine(), 1, 3).verified
+    monkeypatch.setattr(degeneration, "induced_deg2", corrupted)
+    with pytest.raises(RuntimeError):
+        delta_tot(fig3_affine(), 3)
+    with pytest.raises(RuntimeError):
+        delta_dir(fig3_affine(), 1, 3)
 
 
 def test_degree2_matrix_matches_wedges_exhaustively():

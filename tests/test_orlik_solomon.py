@@ -3,11 +3,19 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcohom import catalog
 from arrcohom.aomoto import beta1_full, central_fixture, parallel_fixture
 from arrcohom.geometry import ProjArrangement, ProjLine, decone
-from arrcohom.modp import FpMatrix, FpVector, _rref_raw
+from arrcohom.modp import (
+    DimensionMismatchError,
+    FpMatrix,
+    FpVector,
+    ModulusMismatchError,
+    _rref_raw,
+)
 from arrcohom.orlik_solomon import (
     OSAlgebra,
     QuotientOSOracle,
@@ -239,3 +247,43 @@ def test_wedge_matches_oracle_on_box_arrangements():
             for j in range(aff.n):
                 lhs = alg.wedge11(-alg.ones(), -alg.unit(j))
                 assert lhs == alg.wedge11(alg.ones(), alg.unit(j))
+
+
+PROPERTY_BOXES = box_arrangements(12, seed=31)
+PROPERTY_PRIMES = (2, 3, 5, 2**31 - 1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_wedge_matches_columns_and_oracle(data):
+    aff = data.draw(st.sampled_from(PROPERTY_BOXES))
+    p = data.draw(st.sampled_from(PROPERTY_PRIMES))
+    k = data.draw(st.integers(0, 5))
+    alg = OSAlgebra(aff, p)
+    # residues 0 and p - 1 only leave the products the least int64 headroom
+    values = st.sampled_from((0, p - 1)) if data.draw(st.booleans()) else st.integers(0, p - 1)
+    entries = st.lists(values, min_size=aff.n * k, max_size=aff.n * k)
+    x, y = (np.array(data.draw(entries), dtype=np.int64).reshape(aff.n, k) for _ in "xy")
+    block = alg.wedge11(FpMatrix(p, x), FpMatrix(p, y))
+    assert block.shape == (alg.dim2, k)
+    orc = QuotientOSOracle(aff, p)
+    table = FpMatrix(p, np.stack(
+        [alg.pair_value(i, j).data for i, j in combinations(range(aff.n), 2)], axis=1
+    ))
+    for c in range(k):
+        column = alg.wedge11(FpVector(p, x[:, c]), FpVector(p, y[:, c]))
+        assert block.column(c) == column
+        assert column == table @ FpVector(p, orc.pair_coords(x[:, c], y[:, c]))
+
+
+def test_block_wedge_rejects_mismatched_operands():
+    alg = OSAlgebra(braid_affine(), 3)
+    good = FpMatrix(3, np.ones((alg.n, 4), dtype=np.int64))
+    with pytest.raises(ModulusMismatchError):
+        alg.wedge11(good, FpMatrix(5, np.ones((alg.n, 4), dtype=np.int64)))
+    with pytest.raises(DimensionMismatchError):
+        alg.wedge11(FpMatrix(3, np.ones((alg.n + 1, 4), dtype=np.int64)), good)
+    with pytest.raises(DimensionMismatchError):
+        alg.wedge11(good, FpMatrix(3, np.ones((alg.n, 3), dtype=np.int64)))
+    with pytest.raises(TypeError):
+        alg.wedge11(good, alg.ones())

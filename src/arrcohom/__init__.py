@@ -55,9 +55,8 @@ from .modp import (
     ModulusMismatchError,
     NotPrimeError,
     is_prime,
-    solve_membership,
 )
-from .orlik_solomon import OSAlgebra, QuotientOSOracle, build, relation_pairs, relation_triples
+from .orlik_solomon import OSAlgebra, QuotientOSOracle, relation_pairs, relation_triples
 from .report import (
     BOUNDED_BY_PS,
     UNKNOWN,

@@ -60,12 +60,6 @@ class AomotoComplex:
     def rank_d0(self) -> int:
         return 0 if self.xi.is_zero() else 1
 
-    def h0(self) -> int:
-        return 1 - self.rank_d0
-
-    def h2(self) -> int:
-        return self.alg.dim2 - self.d1.rank()
-
 
 def beta1_full(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     """First cohomology rank straight from the definition: the kernel of
@@ -80,7 +74,7 @@ def beta1_full(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
         "rank_d0": cx.rank_d0,
         "rank_d1": rank_d1,
         "dim_ker_d1": dim_ker,
-        "h0": cx.h0(),
+        "h0": 1 - cx.rank_d0,
         "h2": alg.dim2 - rank_d1,
     }
     return Beta1Result(value, "full", certificate)

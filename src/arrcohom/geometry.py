@@ -195,9 +195,6 @@ class IntersectionLattice:
     def on_line(self, i: int) -> list[tuple[ProjPoint, tuple[int, ...]]]:
         return [(pt, inc) for pt, inc in self.points if i in inc]
 
-    def incidences(self) -> dict[ProjPoint, tuple[int, ...]]:
-        return {pt: inc for pt, inc in self.points}
-
 
 def lattice(arr: ProjArrangement) -> IntersectionLattice:
     """Group the C(n+1, 2) pairwise intersections by coincident point."""
@@ -233,14 +230,14 @@ def is_essential(arr: ProjArrangement, lat: IntersectionLattice | None = None) -
 class AffineArrangement:
     """A projective arrangement with one line sent to infinity.
 
-    The n surviving lines keep their source order and are partitioned
-    into parallel classes, one class per intersection point on the
-    infinity line; classes are ordered by smallest member index.
-    ``class_points[a]`` stores that point together with m_a, the number
-    of arrangement lines through it other than the infinity line (so the
-    point has multiplicity m_a + 1, and m_a equals the class size).
-    Intersection points away from the infinity line are collected in
-    ``finite_points`` with their incident source indices.
+    Deconing is a relabelling of the intersection lattice. The n surviving
+    lines keep their source order. Each lattice point on the infinity line
+    h gives one parallel class: its incident lines other than h, ordered by
+    smallest member. ``class_points[a]`` stores that point together with
+    m_a, the class size (so the point has multiplicity m_a + 1). The
+    lattice points off h are ``finite_points``, with their incident source
+    indices, in lattice order. The generator position of a source line s
+    is s - (s > h).
     """
 
     source: ProjArrangement
@@ -258,26 +255,23 @@ class AffineArrangement:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def position(self, source_index: int) -> int:
-        """Rank of a source line among the affine lines (its generator index)."""
-        try:
-            return self.affine_indices.index(source_index)
-        except ValueError:
-            raise BadIndexError(f"line {source_index} is not an affine line") from None
+    def _as_positions(self, groups) -> tuple[tuple[int, ...], ...]:
+        h = self.infinity_index
+        return tuple(tuple(s - (s > h) for s in group) for group in groups)
 
     def class_of_positions(self) -> tuple[int, ...]:
         """Parallel class index of each affine line, in generator order."""
         out = [0] * self.n
-        for a, members in enumerate(self.classes):
-            for src in members:
-                out[self.position(src)] = a
+        for a, members in enumerate(self.classes_as_positions()):
+            for i in members:
+                out[i] = a
         return tuple(out)
 
     def classes_as_positions(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.position(s) for s in members) for members in self.classes)
+        return self._as_positions(self.classes)
 
     def finite_points_as_positions(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.position(s) for s in inc) for _, inc in self.finite_points)
+        return self._as_positions(inc for _, inc in self.finite_points)
 
 
 def decone(
@@ -285,37 +279,37 @@ def decone(
     infinity_index: int,
     lat: IntersectionLattice | None = None,
 ) -> AffineArrangement:
-    """Remove one line and organize the rest as an affine arrangement."""
+    """Send one line to infinity, reading classes and points off the lattice.
+
+    A lattice point through the infinity line h is the point at infinity of
+    one parallel class; every other lattice point is a finite point. Lattice
+    order (by incidence tuple) already orders the classes by smallest member,
+    since classes are disjoint once h is removed.
+    """
     arr.check_index(infinity_index)
     if lat is None:
         lat = lattice(arr)
-    inf_line = arr.lines[infinity_index]
-    affine = tuple(i for i in range(len(arr.lines)) if i != infinity_index)
-
-    by_point: dict[ProjPoint, list[int]] = {}
-    for i in affine:
-        by_point.setdefault(intersect(arr.lines[i], inf_line), []).append(i)
-    classes = sorted(by_point.values())
-
-    incidences = lat.incidences()
-    class_points = []
-    for members in classes:
-        pt = intersect(arr.lines[members[0]], inf_line)
-        m = len(incidences[pt]) - 1
-        # every line through pt other than the infinity line is affine
-        if m != len(members):
-            raise RuntimeError(f"class {members} has {m} lines at infinity; this is a bug")
-        class_points.append((pt, m))
-
-    finite = sorted(
-        ((pt, inc) for pt, inc in lat.points if not inf_line.contains(pt)),
-        key=lambda item: item[1],
-    )
+    h = infinity_index
+    affine = tuple(i for i in range(len(arr.lines)) if i != h)
+    classes, class_points, finite = [], [], []
+    for pt, inc in lat.points:
+        if h in inc:
+            members = tuple(i for i in inc if i != h)
+            classes.append(members)
+            class_points.append((pt, len(members)))
+        else:
+            finite.append((pt, inc))
+    # every affine line meets the infinity line exactly once
+    covered = sum(len(c) for c in classes)
+    if covered != len(affine):
+        raise RuntimeError(
+            f"parallel classes cover {covered} of {len(affine)} affine lines; this is a bug"
+        )
     return AffineArrangement(
         source=arr,
         infinity_index=infinity_index,
         affine_indices=affine,
-        classes=tuple(tuple(c) for c in classes),
+        classes=tuple(classes),
         class_points=tuple(class_points),
         finite_points=tuple(finite),
     )

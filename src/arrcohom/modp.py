@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "FpMatrix",
     "FpVector",
-    "solve_membership",
     "is_prime",
     "NotPrimeError",
     "DimensionMismatchError",
@@ -174,9 +173,6 @@ class FpVector:
     def __neg__(self) -> "FpVector":
         return FpVector(self.p, (-self.data) % self.p)
 
-    def scale(self, c: int) -> "FpVector":
-        return FpVector(self.p, (self.data * (int(c) % self.p)) % self.p)
-
 
 class FpMatrix:
     """Dense matrix of residues mod a prime."""
@@ -195,10 +191,6 @@ class FpMatrix:
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
         return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -229,19 +221,8 @@ class FpMatrix:
     def is_zero(self) -> bool:
         return not self.data.any()
 
-    def row(self, i: int) -> FpVector:
-        return FpVector(self.p, self.data[i])
-
     def column(self, j: int) -> FpVector:
         return FpVector(self.p, self.data[:, j])
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.data.T)
-
-    def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns (deterministic)."""
-        reduced, pivots = _rref_raw(self.data, self.p)
-        return FpMatrix(self.p, reduced), tuple(pivots)
 
     def rank(self) -> int:
         return len(_rref_raw(self.data, self.p)[1])
@@ -265,26 +246,3 @@ class FpMatrix:
             return FpMatrix(self.p, _matmul_mod(self.data, other.data, self.p))
         return NotImplemented
 
-
-def solve_membership(v: FpVector, span: list[FpVector]) -> list[int] | None:
-    """Coordinates expressing v in the given spanning vectors, or None.
-
-    The particular solution is deterministic: free coordinates are zero.
-    """
-    for w in span:
-        if w.p != v.p:
-            raise ModulusMismatchError(f"p={v.p} vs p={w.p}")
-        if len(w) != len(v):
-            raise DimensionMismatchError(f"lengths {len(v)} vs {len(w)}")
-    if not span:
-        return [] if v.is_zero() else None
-    a = np.stack([w.data for w in span], axis=1)
-    aug = np.concatenate([a, v.data[:, None]], axis=1)
-    rref, pivots = _rref_raw(aug, v.p)
-    k = len(span)
-    if k in pivots:
-        return None
-    coords = [0] * k
-    for r, c in enumerate(pivots):
-        coords[c] = int(rref[r, k])
-    return coords

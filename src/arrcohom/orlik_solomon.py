@@ -32,7 +32,7 @@ from .modp import (
     _rref_raw,
 )
 
-__all__ = ["OSAlgebra", "QuotientOSOracle", "build", "relation_pairs", "relation_triples"]
+__all__ = ["OSAlgebra", "QuotientOSOracle", "relation_pairs", "relation_triples"]
 
 
 def relation_pairs(aff: AffineArrangement):
@@ -83,12 +83,12 @@ class OSAlgebra:
 
     def deg1(self, coeffs) -> FpVector:
         v = coeffs if isinstance(coeffs, FpVector) else FpVector(self.p, coeffs)
-        self._check1(v)
+        self._check(v, 1)
         return v
 
     def deg2(self, coeffs) -> FpVector:
         v = coeffs if isinstance(coeffs, FpVector) else FpVector(self.p, coeffs)
-        self._check2(v)
+        self._check(v, 2)
         return v
 
     def unit(self, i: int) -> FpVector:
@@ -106,21 +106,16 @@ class OSAlgebra:
     def zero2(self) -> FpVector:
         return FpVector(self.p, np.zeros(self.dim2, dtype=np.int64))
 
-    def _check1(self, v: FpVector) -> None:
-        if not isinstance(v, FpVector):
-            raise TypeError(f"expected FpVector, got {type(v).__name__}")
+    def _check(self, v, degree: int, kind=FpVector) -> None:
+        # type, modulus and length of an operand; a block of one-forms
+        # (kind FpMatrix) is checked by its row count
+        if not isinstance(v, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
         if v.p != self.p:
             raise ModulusMismatchError(f"p={v.p} vs algebra p={self.p}")
-        if len(v) != self.n:
-            raise DimensionMismatchError(f"degree 1 length {len(v)}, expected {self.n}")
-
-    def _check2(self, v: FpVector) -> None:
-        if not isinstance(v, FpVector):
-            raise TypeError(f"expected FpVector, got {type(v).__name__}")
-        if v.p != self.p:
-            raise ModulusMismatchError(f"p={v.p} vs algebra p={self.p}")
-        if len(v) != self.dim2:
-            raise DimensionMismatchError(f"degree 2 length {len(v)}, expected {self.dim2}")
+        length, expected = v.data.shape[0], (self.n if degree == 1 else self.dim2)
+        if length != expected:
+            raise DimensionMismatchError(f"degree {degree} length {length}, expected {expected}")
 
     # ---- products --------------------------------------------------------
 
@@ -154,37 +149,24 @@ class OSAlgebra:
         product of the two columns c; their moduli, row counts and column
         counts must match the algebra and each other.
         """
-        if isinstance(x, FpMatrix) and isinstance(y, FpMatrix):
-            for m in (x, y):
-                if m.p != self.p:
-                    raise ModulusMismatchError(f"p={m.p} vs algebra p={self.p}")
-                if m.rows != self.n:
-                    raise DimensionMismatchError(
-                        f"degree 1 block has {m.rows} rows, expected {self.n}"
-                    )
-            if x.cols != y.cols:
-                raise DimensionMismatchError(f"column counts {x.cols} vs {y.cols}")
-            return FpMatrix(self.p, self._wedge(x.data, y.data))
-        self._check1(x)
-        self._check1(y)
-        return FpVector(self.p, self._wedge(x.data, y.data))
+        kind = FpMatrix if isinstance(x, FpMatrix) and isinstance(y, FpMatrix) else FpVector
+        self._check(x, 1, kind)
+        self._check(y, 1, kind)
+        if x.data.shape != y.data.shape:
+            raise DimensionMismatchError(f"operand shapes {x.data.shape} vs {y.data.shape}")
+        return kind(self.p, self._wedge(x.data, y.data))
 
     def wedge_matrix(self, xi: FpVector) -> FpMatrix:
         """Matrix of (xi wedge -) from degree 1 to degree 2; column j is the
         image of e_j."""
-        self._check1(xi)
+        self._check(xi, 1)
         repeated = FpMatrix(self.p, np.repeat(xi.data[:, None], self.n, axis=1))
         return self.wedge11(repeated, FpMatrix(self.p, np.eye(self.n, dtype=np.int64)))
 
     def coeff_sum_is_zero(self, x: FpVector) -> bool:
         """Membership in the degree 1 subspace of coordinate sum zero."""
-        self._check1(x)
+        self._check(x, 1)
         return x.sum() == 0
-
-
-def build(aff: AffineArrangement, p: int) -> OSAlgebra:
-    """Construct the Orlik-Solomon algebra of an affine arrangement over F_p."""
-    return OSAlgebra(aff, p)
 
 
 class QuotientOSOracle:

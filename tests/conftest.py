@@ -1,6 +1,10 @@
+import random
+from itertools import product
+
 import pytest
 
 from arrcohom import catalog
+from arrcohom.geometry import ProjArrangement, ProjLine, decone
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +16,23 @@ def members():
 @pytest.fixture(scope="session")
 def braid():
     return catalog.braid_a3()
+
+
+def box_arrangements(count, seed):
+    """Seeded arrangements of 6..12 lines with coefficients in [-2, 2].
+
+    Line 0 is z = 0 and goes to infinity, so lines sharing a direction
+    become parallel; small coefficients force many concurrences. Samples
+    with a finite point of multiplicity above 5 or a single parallel class
+    are redrawn.
+    """
+    box = {ProjLine(t).coeffs for t in product(range(-2, 3), repeat=3) if any(t)}
+    box = sorted(box - {(0, 0, 1)})
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        arr = ProjArrangement.from_coeffs([(0, 0, 1)] + rng.sample(box, rng.randint(5, 11)))
+        aff = decone(arr, 0)
+        if aff.num_classes >= 2 and all(len(inc) <= 5 for _, inc in aff.finite_points):
+            out.append(aff)
+    return out

@@ -1,0 +1,20 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import arrcohom
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(arrcohom.__path__))
+
+
+def test_modules_found():
+    assert {"geometry", "modp", "orlik_solomon", "aomoto"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    # a name left in __all__ after its object is gone breaks star imports
+    mod = importlib.import_module(f"arrcohom.{name}")
+    missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+    assert missing == []

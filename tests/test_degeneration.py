@@ -51,7 +51,7 @@ def test_delta_tot_on_central_input_is_bijective_relabeling():
     aff = decone(arr, 4)
     assert all(len(c) == 1 for c in aff.classes)
     dmap = delta_tot(aff, 3)
-    assert dmap.deg1_matrix == FpMatrix.identity(3, aff.n)
+    assert dmap.deg1_matrix == FpMatrix(3, np.eye(aff.n, dtype=np.int64))
 
 
 def test_delta_dir_fig3_matrix():

@@ -22,6 +22,7 @@ from arrcohom.geometry import (
     parse_line,
 )
 from arrcohom import catalog
+from conftest import box_arrangements
 
 
 @pytest.mark.parametrize(
@@ -185,8 +186,17 @@ def test_decone_bad_index(braid):
         decone(braid, 6)
 
 
+def test_decone_rejects_foreign_lattice(braid):
+    # classes read off a lattice of another arrangement cannot cover the lines
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        decone(braid, 0, lattice(catalog.generic(4)))
+
+
 def test_decone_roundtrip_and_counts(members):
-    for _, arr in members:
+    # the catalog plus irregular box arrangements, deconed at every line
+    sources = [arr for _, arr in members]
+    sources += [aff.source for aff in box_arrangements(50, seed=2024)]
+    for arr in sources:
         lat = lattice(arr)
         for infinity in range(len(arr.lines)):
             aff = decone(arr, infinity, lat)
@@ -203,3 +213,14 @@ def test_decone_roundtrip_and_counts(members):
             assert sum(m for _, m in aff.class_points) == aff.n
             for pt, _ in aff.finite_points:
                 assert not inf_line.contains(pt)
+            # generator positions are ranks among the affine lines
+            pos = aff.affine_indices.index
+            assert aff.classes_as_positions() == tuple(
+                tuple(pos(s) for s in members_c) for members_c in aff.classes
+            )
+            assert aff.finite_points_as_positions() == tuple(
+                tuple(pos(s) for s in inc) for _, inc in aff.finite_points
+            )
+            assert aff.class_of_positions() == tuple(
+                next(a for a, c in enumerate(aff.classes) if s in c) for s in aff.affine_indices
+            )

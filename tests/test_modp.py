@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from arrcohom.modp import (
@@ -8,8 +9,8 @@ from arrcohom.modp import (
     FpVector,
     ModulusMismatchError,
     NotPrimeError,
+    _rref_raw,
     is_prime,
-    solve_membership,
 )
 
 PRIMES = (2, 3, 5, 7, 13)
@@ -38,7 +39,7 @@ def test_entries_reduced():
 
 
 def test_rank_examples():
-    assert FpMatrix.identity(2, 3).rank() == 3
+    assert FpMatrix(2, np.eye(3, dtype=np.int64)).rank() == 3
     assert FpMatrix(2, [[1, 1], [1, 1]]).rank() == 1
     # determinant is 3, zero mod 3
     assert FpMatrix(3, [[2, 1], [1, 2]]).rank() == 1
@@ -48,7 +49,7 @@ def test_rank_examples():
 def test_kernel_examples():
     ker = FpMatrix(3, [[1, 1, 1]]).kernel_basis()
     assert len(ker) == 2
-    assert FpMatrix.identity(7, 4).kernel_basis() == []
+    assert FpMatrix(7, np.eye(4, dtype=np.int64)).kernel_basis() == []
     assert len(FpMatrix.zeros(5, 2, 4).kernel_basis()) == 4
 
 
@@ -70,18 +71,20 @@ def test_rank_equals_transpose_rank():
         for _ in range(20):
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             m = FpMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == FpMatrix(p, m.data.T).rank()
 
 
 def test_rref_deterministic_fixed_pivot_rule():
-    m = FpMatrix(5, [[0, 2, 1], [3, 1, 0], [3, 3, 1]])
-    r1, piv1 = m.rref()
-    r2, piv2 = FpMatrix(5, [[0, 2, 1], [3, 1, 0], [3, 3, 1]]).rref()
-    assert r1 == r2 and piv1 == piv2
+    m = np.array([[0, 2, 1], [3, 1, 0], [3, 3, 1]], dtype=np.int64)
+    r1, piv1 = _rref_raw(m, 5)
+    r2, piv2 = _rref_raw(m.copy(), 5)
+    assert np.array_equal(r1, r2) and piv1 == piv2
     # pivots are the leftmost columns, chosen topmost first:
     # rows swap so (3,1,0) leads, then column 1 pivots at the old second row
-    assert piv1 == (0, 1)
+    assert piv1 == [0, 1]
     assert r1.tolist() == [[1, 0, 4], [0, 1, 3], [0, 0, 0]]
+    # the input is left as it was
+    assert m.tolist() == [[0, 2, 1], [3, 1, 0], [3, 3, 1]]
 
 
 def test_rref_of_empty_shapes():
@@ -90,39 +93,7 @@ def test_rref_of_empty_shapes():
     assert FpMatrix.zeros(3, 4, 0).rank() == 0
 
 
-def test_solve_membership_examples():
-    p2 = 2
-    e1 = FpVector(p2, [1, 0])
-    assert solve_membership(FpVector(p2, [0, 0]), [e1]) == [0]
-    span = [FpVector(p2, [1, 1]), FpVector(p2, [0, 1])]
-    assert solve_membership(e1, span) == [1, 1]
-    assert solve_membership(FpVector(3, [1, 0]), [FpVector(3, [0, 1])]) is None
-    assert solve_membership(FpVector(3, [0, 0]), []) == []
-    assert solve_membership(FpVector(3, [1, 0]), []) is None
-
-
-def test_solve_membership_reconstructs():
-    rng = random.Random(5)
-    for p in PRIMES:
-        for _ in range(20):
-            length, k = rng.randint(1, 6), rng.randint(1, 4)
-            span = [FpVector(p, [rng.randrange(p) for _ in range(length)]) for _ in range(k)]
-            target = FpVector(p, [0] * length)
-            for w in span:
-                target = target + w.scale(rng.randrange(p))
-            coords = solve_membership(target, span)
-            assert coords is not None
-            rebuilt = FpVector(p, [0] * length)
-            for c, w in zip(coords, span):
-                rebuilt = rebuilt + w.scale(c)
-            assert rebuilt == target
-
-
 def test_mismatch_errors():
-    with pytest.raises(ModulusMismatchError):
-        solve_membership(FpVector(2, [1]), [FpVector(3, [1])])
-    with pytest.raises(DimensionMismatchError):
-        solve_membership(FpVector(2, [1]), [FpVector(2, [1, 0])])
     with pytest.raises(ModulusMismatchError):
         FpMatrix(2, [[1]]) @ FpVector(3, [1])
     with pytest.raises(DimensionMismatchError):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from arrcohom import catalog
 from arrcohom.aomoto import beta1_full, central_fixture, parallel_fixture
-from arrcohom.geometry import ProjArrangement, ProjLine, decone
+from arrcohom.geometry import decone
 from arrcohom.modp import (
     DimensionMismatchError,
     FpMatrix,
@@ -16,10 +16,10 @@ from arrcohom.modp import (
     ModulusMismatchError,
     _rref_raw,
 )
+from conftest import box_arrangements
 from arrcohom.orlik_solomon import (
     OSAlgebra,
     QuotientOSOracle,
-    build,
     relation_pairs,
     relation_triples,
 )
@@ -31,7 +31,7 @@ def braid_affine():
 
 def test_braid_degree2_dimension():
     for p in (2, 3, 5, 7):
-        alg = build(braid_affine(), p)
+        alg = OSAlgebra(braid_affine(), p)
         assert alg.n == 5
         assert alg.dim2 == 6
 
@@ -104,7 +104,7 @@ def test_central_wedge_formula():
             total = sum(xi) % p
             for i in range(s - 1):
                 lhs = alg.wedge11(xi, alg.unit(i) - alg.unit(i + 1))
-                assert lhs == alg.pair_value(i, i + 1).scale(-total)
+                assert lhs == FpVector(p, -total * alg.pair_value(i, i + 1).data)
 
 
 def test_parallel_wedge_formula():
@@ -118,7 +118,7 @@ def test_parallel_wedge_formula():
             eta = alg.deg1(c + [0])
             expected = alg.zero2()
             for i in range(r):
-                expected = expected + alg.pair_value(i, r).scale(-xi[r] * c[i])
+                expected = expected + FpVector(p, -xi[r] * c[i] * alg.pair_value(i, r).data)
             assert alg.wedge11(xi, eta) == expected
 
 
@@ -197,26 +197,6 @@ def test_dimension_checks():
         alg.deg1([1, 2, 3])
     with pytest.raises(Exception):
         alg.wedge11(alg.ones(), FpVector(5, [1] * alg.n))
-
-
-def box_arrangements(count, seed):
-    """Seeded arrangements of 6..12 lines with coefficients in [-2, 2].
-
-    Line 0 is z = 0 and goes to infinity, so lines sharing a direction
-    become parallel; small coefficients force many concurrences. Samples
-    with a finite point of multiplicity above 5 or a single parallel class
-    are redrawn.
-    """
-    box = {ProjLine(t).coeffs for t in product(range(-2, 3), repeat=3) if any(t)}
-    box = sorted(box - {(0, 0, 1)})
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        arr = ProjArrangement.from_coeffs([(0, 0, 1)] + rng.sample(box, rng.randint(5, 11)))
-        aff = decone(arr, 0)
-        if aff.num_classes >= 2 and all(len(inc) <= 5 for _, inc in aff.finite_points):
-            out.append(aff)
-    return out
 
 
 def test_wedge_matches_oracle_on_box_arrangements():

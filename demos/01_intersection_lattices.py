@@ -36,11 +36,14 @@ for k in (2, 3, 6):
 print(f"\npencil of 5 lines: {lattice(pencil(5)).histogram()} (one point only)")
 print(f"generic 4 lines:   {lattice(generic(4)).histogram()} (all double points)")
 
-# deconing: send line 2 (the line z) to infinity. Affine lines are
+# deconing: send line 2 (the line z) to infinity. The other lines become
+# generators 0..4 in source order (source line s is generator s - (s > 2)),
 # grouped into parallel classes, one class per point on the removed line.
 aff = decone(arr, 2)
 print(f"\ndeconed braid (infinity = line 2): {aff.n} affine lines")
-print(f"  parallel classes (source indices): {aff.classes}")
-for (pt, m), members in zip(aff.class_points, aff.classes):
-    print(f"  class {list(members)} meets infinity at {pt}, m = {m}")
-print(f"  finite points: {[(str(pt), list(inc)) for pt, inc in aff.finite_points]}")
+print(f"  parallel classes (generator positions): {aff.classes}")
+for members in aff.classes:
+    first = arr.lines[members[0] + (members[0] >= 2)]
+    print(f"  class {list(members)} meets infinity at {intersect(first, arr.lines[2])}, "
+          f"m = {len(members)}")
+print(f"  finite points (generator positions): {[list(inc) for inc in aff.finite_points]}")

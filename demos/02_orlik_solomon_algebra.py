@@ -20,10 +20,12 @@ aff = decone(braid_a3(), 2)
 alg = OSAlgebra(aff, p)
 
 print(f"deconed braid over F_{p}: {alg.n} generators, degree 2 rank {alg.dim2}")
-print("degree 2 basis symbols (point index, partner line):", alg.symbols)
+anchors, lines = alg.symbol_factors()
+print("degree 2 basis (anchor ^ partner line at each finite point):",
+      [f"e{a}^e{j}" for a, j in zip(anchors.tolist(), lines.tolist())])
 
 # the rank equals the sum over finite points of (multiplicity - 1)
-defect = sum(len(inc) - 1 for _, inc in aff.finite_points)
+defect = sum(len(inc) - 1 for inc in aff.finite_points)
 print(f"sum of point defects: {defect} (matches rank {alg.dim2})")
 
 # pair reductions: zero iff the two lines are parallel
@@ -34,7 +36,7 @@ for i, j in combinations(range(alg.n), 2):
     print(f"  e{i} ^ e{j} -> {tag}")
 
 # the three-term relation holds for every concurrent triple
-for inc in aff.finite_points_as_positions():
+for inc in aff.finite_points:
     for i, j, k in combinations(inc, 3):
         alt = alg.pair_value(i, j) - alg.pair_value(i, k) + alg.pair_value(j, k)
         assert alt.is_zero()

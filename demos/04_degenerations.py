@@ -14,7 +14,7 @@ from arrcohom.catalog import fig3
 
 p = 3
 aff = decone(fig3(), 0)
-print(f"five affine lines, parallel classes {aff.classes_as_positions()}")
+print(f"five affine lines, parallel classes {aff.classes}")
 
 # total degeneration: classes {0,1}, {2}, {3,4} map onto three concurrent lines
 tot = delta_tot(aff, p)

@@ -39,7 +39,7 @@ from .geometry import (
     is_essential,
     lattice,
 )
-from .modp import NotPrimeError
+from .modp import NotPrimeError, _check_modulus
 from .orlik_solomon import OSAlgebra
 from .report import mu_table, report
 
@@ -163,11 +163,12 @@ def _matrix_lines(mat) -> list[str]:
 
 def cmd_degenerate(args) -> int:
     arr = resolve_arrangement(args)
-    p = args.prime
     infinity = args.infinity if args.infinity is not None else 0
     arr.check_index(infinity)
+    # checked here too: with a single parallel class no map, and so no
+    # algebra, is ever built
+    p = _check_modulus(args.prime)
     aff = decone(arr, infinity)
-    classes = aff.classes_as_positions()
     maps = []
     try:
         maps.append(("total", None, delta_tot(aff, p)))
@@ -182,7 +183,7 @@ def cmd_degenerate(args) -> int:
         payload = {
             "p": p,
             "infinity": infinity,
-            "classes": [list(c) for c in classes],
+            "classes": [list(c) for c in aff.classes],
             "maps": [
                 {
                     "kind": kind,
@@ -197,7 +198,7 @@ def cmd_degenerate(args) -> int:
         print(canonical_json(payload))
         return EXIT_OK
     print(f"infinity = {infinity}, parallel classes (generator positions): "
-          + " ".join(str(list(c)) for c in classes))
+          + " ".join(str(list(c)) for c in aff.classes))
     if not maps:
         print("no degenerations available (single parallel class)")
     for kind, a, dmap in maps:
@@ -256,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_b1 = sub.add_parser("beta1", help="modular bound for one prime")
     add_common(p_b1, prime=True)
-    p_b1.add_argument("--infinity", type=int, help="line sent to infinity (default 0)")
-    p_b1.add_argument("--all-deconings", action="store_true",
-                      help="compute every choice of infinity line")
+    choice = p_b1.add_mutually_exclusive_group()
+    choice.add_argument("--infinity", type=int, help="line sent to infinity (default 0)")
+    choice.add_argument("--all-deconings", action="store_true",
+                        help="compute every choice of infinity line")
     p_b1.set_defaults(func=cmd_beta1)
 
     p_deg = sub.add_parser("degenerate", help="degeneration matrices and checks")

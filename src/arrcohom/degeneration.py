@@ -82,8 +82,7 @@ def induced_deg2(source: OSAlgebra, target: OSAlgebra, deg1_matrix: FpMatrix) ->
     incident line with line j, so its image is the wedge of the two image
     forms in the target.
     """
-    anchors = [source.points[x][0] for x, _ in source.symbols]
-    lines = [j for _, j in source.symbols]
+    anchors, lines = source.symbol_factors()
     return target.wedge11(_columns(deg1_matrix, anchors), _columns(deg1_matrix, lines))
 
 
@@ -103,7 +102,8 @@ def delta_tot(aff: AffineArrangement, p: int) -> DegenerationMap:
     source = OSAlgebra(aff, p)
     target = OSAlgebra(central_fixture(s), p)
     m = np.zeros((s, aff.n), dtype=np.int64)
-    m[np.array(aff.class_of_positions()), np.arange(aff.n)] = 1
+    for a, members in enumerate(aff.classes):
+        m[a, list(members)] = 1
     deg1 = FpMatrix(p, m)
     return _verified(
         DegenerationMap("total", None, source, target, deg1, induced_deg2(source, target, deg1))
@@ -117,7 +117,7 @@ def delta_dir(aff: AffineArrangement, class_index: int, p: int) -> DegenerationM
         raise BadClassError(
             f"class {class_index} out of range 0..{aff.num_classes - 1}"
         )
-    members = aff.classes_as_positions()[class_index]
+    members = aff.classes[class_index]
     r = len(members)
     if r == aff.n:
         raise NoTransversalError("every line is in the chosen class")

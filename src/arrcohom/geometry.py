@@ -160,11 +160,6 @@ class ProjArrangement:
     def __len__(self) -> int:
         return len(self.lines)
 
-    @property
-    def n(self) -> int:
-        """Highest line index (the arrangement has n + 1 lines)."""
-        return len(self.lines) - 1
-
     def check_index(self, i: int) -> None:
         if not 0 <= i < len(self.lines):
             raise BadIndexError(f"line index {i} out of range 0..{len(self.lines) - 1}")
@@ -230,48 +225,27 @@ def is_essential(arr: ProjArrangement, lat: IntersectionLattice | None = None) -
 class AffineArrangement:
     """A projective arrangement with one line sent to infinity.
 
-    Deconing is a relabelling of the intersection lattice. The n surviving
-    lines keep their source order. Each lattice point on the infinity line
-    h gives one parallel class: its incident lines other than h, ordered by
-    smallest member. ``class_points[a]`` stores that point together with
-    m_a, the class size (so the point has multiplicity m_a + 1). The
-    lattice points off h are ``finite_points``, with their incident source
-    indices, in lattice order. The generator position of a source line s
-    is s - (s > h).
+    Deconing is a relabelling of the intersection lattice into generator
+    positions: source line s becomes generator s - (s > h), so the n
+    surviving lines keep their source order. Each lattice point on the
+    infinity line h gives one parallel class, its other incident lines,
+    ordered by smallest member; the lattice points off h are the
+    ``finite_points``, in lattice order. Both are sorted tuples of
+    generator positions.
     """
 
     source: ProjArrangement
     infinity_index: int
-    affine_indices: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    class_points: tuple[tuple[ProjPoint, int], ...]
-    finite_points: tuple[tuple[ProjPoint, tuple[int, ...]], ...]
+    finite_points: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
-        return len(self.affine_indices)
+        return len(self.source.lines) - 1
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def _as_positions(self, groups) -> tuple[tuple[int, ...], ...]:
-        h = self.infinity_index
-        return tuple(tuple(s - (s > h) for s in group) for group in groups)
-
-    def class_of_positions(self) -> tuple[int, ...]:
-        """Parallel class index of each affine line, in generator order."""
-        out = [0] * self.n
-        for a, members in enumerate(self.classes_as_positions()):
-            for i in members:
-                out[i] = a
-        return tuple(out)
-
-    def classes_as_positions(self) -> tuple[tuple[int, ...], ...]:
-        return self._as_positions(self.classes)
-
-    def finite_points_as_positions(self) -> tuple[tuple[int, ...], ...]:
-        return self._as_positions(inc for _, inc in self.finite_points)
 
 
 def decone(
@@ -284,32 +258,28 @@ def decone(
     A lattice point through the infinity line h is the point at infinity of
     one parallel class; every other lattice point is a finite point. Lattice
     order (by incidence tuple) already orders the classes by smallest member,
-    since classes are disjoint once h is removed.
+    since classes are disjoint once h is removed, and the position map
+    s -> s - (s > h) keeps every incidence tuple sorted.
     """
     arr.check_index(infinity_index)
     if lat is None:
         lat = lattice(arr)
     h = infinity_index
-    affine = tuple(i for i in range(len(arr.lines)) if i != h)
-    classes, class_points, finite = [], [], []
-    for pt, inc in lat.points:
+    classes, finite = [], []
+    for _, inc in lat.points:
         if h in inc:
-            members = tuple(i for i in inc if i != h)
-            classes.append(members)
-            class_points.append((pt, len(members)))
+            classes.append(tuple(s - (s > h) for s in inc if s != h))
         else:
-            finite.append((pt, inc))
+            finite.append(tuple(s - (s > h) for s in inc))
     # every affine line meets the infinity line exactly once
-    covered = sum(len(c) for c in classes)
-    if covered != len(affine):
+    covered, n = sum(map(len, classes)), len(arr.lines) - 1
+    if covered != n:
         raise RuntimeError(
-            f"parallel classes cover {covered} of {len(affine)} affine lines; this is a bug"
+            f"parallel classes cover {covered} of {n} affine lines; this is a bug"
         )
     return AffineArrangement(
         source=arr,
         infinity_index=infinity_index,
-        affine_indices=affine,
         classes=tuple(classes),
-        class_points=tuple(class_points),
         finite_points=tuple(finite),
     )

@@ -37,26 +37,27 @@ __all__ = ["OSAlgebra", "QuotientOSOracle", "relation_pairs", "relation_triples"
 
 def relation_pairs(aff: AffineArrangement):
     """Parallel pairs (i, j), i < j, in generator positions."""
-    for members in aff.classes_as_positions():
+    for members in aff.classes:
         yield from combinations(members, 2)
 
 
 def relation_triples(aff: AffineArrangement):
     """Concurrent triples (i, j, k), i < j < k, in generator positions."""
-    for inc in aff.finite_points_as_positions():
+    for inc in aff.finite_points:
         yield from combinations(inc, 3)
 
 
 class OSAlgebra:
     """Degrees 0..2 of the Orlik-Solomon algebra with explicit wedge data.
 
+    The degree 2 basis has one symbol (X, j) for every finite point X of
+    ``aff`` and every incident line j but X's smallest, the anchor; it
+    stands for the wedge of the anchor with line j. Symbols are ordered by
+    point (in ``aff.finite_points`` order), then by line.
+
     Attributes:
         p, n: modulus and number of degree 1 generators.
-        class_of: parallel class index of each generator.
-        points: finite point incidences as sorted tuples of generator indices.
-        symbols: the degree 2 basis, pairs (point index, non-minimal incident
-            index); symbol (X, j) stands for the wedge of X's smallest
-            incident line with line j.
+        aff: the deconed arrangement, in generator positions.
         dim2: rank of degree 2.
     """
 
@@ -64,20 +65,16 @@ class OSAlgebra:
         self.p = _check_modulus(p)
         self.aff = aff
         self.n = aff.n
-        self.class_of = aff.class_of_positions()
-        self.points = aff.finite_points_as_positions()
-        symbols: list[tuple[int, int]] = []
-        for x, inc in enumerate(self.points):
-            symbols.extend((x, j) for j in inc[1:])
-        self.symbols = tuple(symbols)
-        self.dim2 = len(symbols)
+        points = aff.finite_points
+        sizes = [len(inc) - 1 for inc in points]
+        self.dim2 = sum(sizes)
         # index arrays of the per-point formula: point and line of each
-        # symbol, and the anchor (smallest incident line) of each point
-        self._sym_point = np.array([x for x, _ in symbols], dtype=np.intp)
-        self._sym_line = np.array([j for _, j in symbols], dtype=np.intp)
-        self._anchor = np.array([inc[0] for inc in self.points], dtype=np.intp)
+        # symbol, and the anchor of each point
+        self._sym_point = np.repeat(np.arange(len(points), dtype=np.intp), sizes)
+        self._sym_line = np.array([j for inc in points for j in inc[1:]], dtype=np.intp)
+        self._anchor = np.array([inc[0] for inc in points], dtype=np.intp)
         # each point's symbols are contiguous; index of the first one
-        self._sym_start = np.cumsum([0] + [len(inc) - 1 for inc in self.points])[:-1]
+        self._sym_start = np.cumsum([0] + sizes)[:-1]
 
     # ---- element constructors -------------------------------------------
 
@@ -116,6 +113,10 @@ class OSAlgebra:
         length, expected = v.data.shape[0], (self.n if degree == 1 else self.dim2)
         if length != expected:
             raise DimensionMismatchError(f"degree {degree} length {length}, expected {expected}")
+
+    def symbol_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Anchor and line of every degree 2 basis symbol, in basis order."""
+        return self._anchor[self._sym_point], self._sym_line
 
     # ---- products --------------------------------------------------------
 

@@ -33,6 +33,6 @@ def box_arrangements(count, seed):
     while len(out) < count:
         arr = ProjArrangement.from_coeffs([(0, 0, 1)] + rng.sample(box, rng.randint(5, 11)))
         aff = decone(arr, 0)
-        if aff.num_classes >= 2 and all(len(inc) <= 5 for _, inc in aff.finite_points):
+        if aff.num_classes >= 2 and all(len(inc) <= 5 for inc in aff.finite_points):
             out.append(aff)
     return out

@@ -163,7 +163,7 @@ def test_criterion_08_kernel_forms_degenerate_to_zero(members):
         lat = lattice(arr)
         for infinity in _deconings(arr):
             aff = decone(arr, infinity, lat)
-            classes = aff.classes_as_positions()
+            classes = aff.classes
             for p in PRIMES_13:
                 if degree % p:
                     continue
@@ -206,7 +206,7 @@ def test_criterion_10_brieskorn_dimension(members, braid):
         lat = lattice(arr)
         for infinity in _deconings(arr):
             aff = decone(arr, infinity, lat)
-            expected = sum(len(inc) - 1 for _, inc in aff.finite_points)
+            expected = sum(len(inc) - 1 for inc in aff.finite_points)
             alg = OSAlgebra(aff, 3)
             oracle = QuotientOSOracle(aff, 3)
             if not (alg.dim2 == expected == oracle.dim2):

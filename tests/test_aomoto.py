@@ -25,12 +25,12 @@ def test_fixture_shapes():
     c3 = central_fixture(3)
     assert c3.n == 3
     assert len(c3.finite_points) == 1
-    assert len(c3.finite_points[0][1]) == 3
+    assert len(c3.finite_points[0]) == 3
     assert OSAlgebra(c3, 2).dim2 == 2
 
     p2 = parallel_fixture(2)
     assert p2.n == 3
-    assert [len(inc) for _, inc in p2.finite_points] == [2, 2]
+    assert [len(inc) for inc in p2.finite_points] == [2, 2]
     assert OSAlgebra(p2, 2).dim2 == 2
 
     assert OSAlgebra(central_fixture(2), 3).dim2 == 1

@@ -174,6 +174,16 @@ def test_exit_not_prime(capsys):
     assert "not prime" in err
 
 
+def test_exit_not_prime_without_maps(capsys):
+    # a pencil deconed at one of its lines has a single parallel class, so
+    # no degeneration map (and no algebra) is built; the modulus still fails
+    code, out, err = run(capsys, "degenerate", "--builtin", "pencil", "--m", "4",
+                         "--prime", "4")
+    assert code == 4
+    assert out == ""
+    assert "not prime" in err
+
+
 def test_exit_missing_input(capsys):
     code, _, err = run(capsys, "lattice")
     assert code == 2
@@ -195,6 +205,15 @@ def test_exit_bad_infinity(capsys):
     code, _, _ = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "3",
                      "--infinity", "9")
     assert code == 2
+
+
+def test_infinity_with_all_deconings_exits_2(capsys):
+    for infinity in ("0", "9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["beta1", "--builtin", "braid-a3", "--prime", "3", "--all-deconings",
+                  "--infinity", infinity])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

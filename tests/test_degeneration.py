@@ -71,7 +71,7 @@ def test_delta_dir_image_of_ones(members):
     for _, arr in members[:12]:
         aff = decone(arr, 0)
         for p in (2, 3, 5):
-            for a, cls in enumerate(aff.classes_as_positions()):
+            for a, cls in enumerate(aff.classes):
                 r = len(cls)
                 if r == aff.n:
                     continue
@@ -85,7 +85,7 @@ def test_delta_dir_kills_balanced_outside_coefficients():
     aff = fig3_affine()
     for p in (3, 5, 7):
         alg = OSAlgebra(aff, p)
-        classes = aff.classes_as_positions()
+        classes = aff.classes
         for a, cls in enumerate(classes):
             dmap = delta_dir(aff, a, p)
             coeffs = [0] * aff.n
@@ -146,7 +146,7 @@ def test_broken_triple_relation_fails_verification(chunk, monkeypatch):
     aff = decone(catalog.braid_a3(), 2)
     p = 3
     i, j, k = next(iter(relation_triples(aff)))
-    cls = aff.class_of_positions()
+    cls = {q: a for a, c in enumerate(aff.classes) for q in c}
     source = OSAlgebra(aff, p)
     target = OSAlgebra(parallel_fixture(2), p)
     m = np.zeros((3, aff.n), dtype=np.int64)

@@ -158,13 +158,13 @@ def test_is_essential(braid):
 
 def test_decone_braid(braid):
     aff = decone(braid, 2)
-    assert aff.affine_indices == (0, 1, 3, 4, 5)
-    assert aff.classes == ((0, 4), (1, 5), (3,))
-    assert [m for _, m in aff.class_points] == [2, 2, 1]
+    assert aff.n == 5
+    # source lines 0, 1, 3, 4, 5 are generators 0..4
+    assert aff.classes == ((0, 3), (1, 4), (2,))
     assert aff.num_classes == 3
     # infinity line carries two triple points and one double point
-    assert sorted(m + 1 for _, m in aff.class_points) == [2, 3, 3]
-    assert aff.finite_points_as_positions() == ((0, 1, 2), (0, 4), (1, 3), (2, 3, 4))
+    assert sorted(len(c) + 1 for c in aff.classes) == [2, 3, 3]
+    assert aff.finite_points == ((0, 1, 2), (0, 4), (1, 3), (2, 3, 4))
 
 
 def test_decone_triangle():
@@ -178,7 +178,7 @@ def test_decone_pencil():
     aff = decone(catalog.pencil(5), 0)
     assert aff.num_classes == 1
     assert aff.finite_points == ()
-    assert aff.classes == ((1, 2, 3, 4),)
+    assert aff.classes == ((0, 1, 2, 3),)
 
 
 def test_decone_bad_index(braid):
@@ -193,34 +193,42 @@ def test_decone_rejects_foreign_lattice(braid):
 
 
 def test_decone_roundtrip_and_counts(members):
-    # the catalog plus irregular box arrangements, deconed at every line
+    # the catalog plus irregular box arrangements, deconed at every line;
+    # generator q is source line q + (q >= h), and every class and finite
+    # point is checked against the geometry of those source lines
     sources = [arr for _, arr in members]
     sources += [aff.source for aff in box_arrangements(50, seed=2024)]
     for arr in sources:
         lat = lattice(arr)
-        for infinity in range(len(arr.lines)):
-            aff = decone(arr, infinity, lat)
-            inf_line = arr.lines[infinity]
-            assert sorted(i for c in aff.classes for i in c) == list(aff.affine_indices)
-            for members_c, (pt, m) in zip(aff.classes, aff.class_points):
-                assert len(members_c) == m
-                assert pt.on(inf_line)
-                for i, j in combinations(members_c, 2):
-                    assert intersect(arr.lines[i], arr.lines[j]) == pt
-                # singleton classes still intersect infinity at their point
-                assert intersect(arr.lines[members_c[0]], inf_line) == pt
-            # total multiplicity defect on the infinity line is the affine line count
-            assert sum(m for _, m in aff.class_points) == aff.n
-            for pt, _ in aff.finite_points:
+        for h in range(len(arr.lines)):
+            aff = decone(arr, h, lat)
+            inf_line = arr.lines[h]
+
+            def line(q):
+                return arr.lines[q + (q >= h)]
+
+            assert aff.n == len(arr.lines) - 1
+            assert sorted(q for c in aff.classes for q in c) == list(range(aff.n))
+            # a class is the lines through one point at infinity, one point per class
+            at_infinity = []
+            for c in aff.classes:
+                assert list(c) == sorted(c)
+                pt = intersect(line(c[0]), inf_line)
+                for i, j in combinations(c, 2):
+                    assert intersect(line(i), line(j)) == pt
+                at_infinity.append(pt)
+            assert len(set(at_infinity)) == aff.num_classes
+            assert [c[0] for c in aff.classes] == sorted(c[0] for c in aff.classes)
+            # finite points are distinct, off infinity, on each listed line, and
+            # together with the parallel pairs they hold every pair exactly once
+            finite = set()
+            pairs = [pair for c in aff.classes for pair in combinations(c, 2)]
+            for inc in aff.finite_points:
+                assert len(inc) >= 2 and list(inc) == sorted(inc)
+                pt = intersect(line(inc[0]), line(inc[1]))
                 assert not inf_line.contains(pt)
-            # generator positions are ranks among the affine lines
-            pos = aff.affine_indices.index
-            assert aff.classes_as_positions() == tuple(
-                tuple(pos(s) for s in members_c) for members_c in aff.classes
-            )
-            assert aff.finite_points_as_positions() == tuple(
-                tuple(pos(s) for s in inc) for _, inc in aff.finite_points
-            )
-            assert aff.class_of_positions() == tuple(
-                next(a for a, c in enumerate(aff.classes) if s in c) for s in aff.affine_indices
-            )
+                assert all(pt.on(line(q)) for q in inc)
+                finite.add(pt)
+                pairs += combinations(inc, 2)
+            assert len(finite) == len(aff.finite_points)
+            assert sorted(pairs) == list(combinations(range(aff.n), 2))

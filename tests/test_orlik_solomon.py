@@ -43,13 +43,15 @@ def test_central_and_parallel_dimensions():
         alg = OSAlgebra(parallel_fixture(r), 5)
         assert alg.dim2 == r
         # basis symbols pair every parallel with the transversal
-        assert [sym for sym in alg.symbols] == [(x, r) for x in range(r)]
+        anchors, lines = alg.symbol_factors()
+        assert anchors.tolist() == list(range(r))
+        assert lines.tolist() == [r] * r
 
 
 def test_brieskorn_dimension_matches_point_defects(members):
     for _, arr in members:
         aff = decone(arr, 0)
-        expected = sum(len(inc) - 1 for _, inc in aff.finite_points)
+        expected = sum(len(inc) - 1 for inc in aff.finite_points)
         assert OSAlgebra(aff, 3).dim2 == expected
 
 
@@ -58,7 +60,7 @@ def test_pair_value_zero_iff_parallel(members):
         aff = decone(arr, 0)
         for p in (2, 5):
             alg = OSAlgebra(aff, p)
-            classes = alg.class_of
+            classes = {q: a for a, c in enumerate(aff.classes) for q in c}
             for i, j in combinations(range(alg.n), 2):
                 value = alg.pair_value(i, j)
                 if classes[i] == classes[j]:
@@ -177,7 +179,7 @@ def test_cross_class_pairs_independent(members):
         aff = decone(arr, 0)
         for p in (2, 3, 5):
             alg = OSAlgebra(aff, p)
-            for cls in aff.classes_as_positions():
+            for cls in aff.classes:
                 pairs = [(i, j) for i in cls for j in range(aff.n) if j not in cls]
                 if not pairs:
                     continue
@@ -202,7 +204,7 @@ def test_dimension_checks():
 def test_wedge_matches_oracle_on_box_arrangements():
     affs = box_arrangements(50, seed=2024)
     # the generator really mixes multiplicities and parallels
-    mults = {len(inc) for aff in affs for _, inc in aff.finite_points}
+    mults = {len(inc) for aff in affs for inc in aff.finite_points}
     assert mults == {2, 3, 4, 5}
     assert sum(any(len(c) > 1 for c in aff.classes) for aff in affs) >= 25
     rng = random.Random(7)

@@ -8,7 +8,6 @@ reports for Milnor fiber monodromy via the modular upper bound.
 """
 
 from .aomoto import (
-    AomotoComplex,
     BadSizeError,
     Beta1Result,
     NotInvertibleError,
@@ -68,7 +67,7 @@ from .report import (
     OrderRecord,
     PrimeRecord,
     VanishingReport,
-    beta1_of_deconing,
+    beta1_by_line,
     mu_table,
     orders,
     report,

@@ -15,7 +15,6 @@ from .modp import FpMatrix, FpVector
 from .orlik_solomon import OSAlgebra
 
 __all__ = [
-    "AomotoComplex",
     "Beta1Result",
     "beta1_full",
     "beta1_restricted",
@@ -44,37 +43,30 @@ class Beta1Result:
     certificate: dict
 
 
-class AomotoComplex:
-    """The complex R -> A^1 -> A^2 given by left wedge with a fixed one-form."""
-
-    def __init__(self, alg: OSAlgebra, xi: FpVector):
-        xi = alg.deg1(xi)
-        self.alg = alg
-        self.xi = xi
-        self.d1 = alg.wedge_matrix(xi)
-        # the square of the differential vanishes since xi wedge xi = 0
-        if not (self.d1 @ xi).is_zero():
-            raise RuntimeError("wedge matrix does not annihilate xi; this is a bug")
-
-    @property
-    def rank_d0(self) -> int:
-        return 0 if self.xi.is_zero() else 1
+def _d1(alg: OSAlgebra, xi: FpVector) -> FpMatrix:
+    """The differential (xi wedge -) of the complex R -> A^1 -> A^2."""
+    d1 = alg.wedge_matrix(xi)
+    # the square of the differential vanishes since xi wedge xi = 0
+    if not (d1 @ xi).is_zero():
+        raise RuntimeError("wedge matrix does not annihilate xi; this is a bug")
+    return d1
 
 
 def beta1_full(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     """First cohomology rank straight from the definition: the kernel of
     wedging into degree 2, minus the image of degree 0."""
-    cx = AomotoComplex(alg, xi)
-    rank_d1 = cx.d1.rank()
+    xi = alg.deg1(xi)
+    rank_d0 = 0 if xi.is_zero() else 1
+    rank_d1 = _d1(alg, xi).rank()
     dim_ker = alg.n - rank_d1
-    value = dim_ker - cx.rank_d0
+    value = dim_ker - rank_d0
     certificate = {
         "dim1": alg.n,
         "dim2": alg.dim2,
-        "rank_d0": cx.rank_d0,
+        "rank_d0": rank_d0,
         "rank_d1": rank_d1,
         "dim_ker_d1": dim_ker,
-        "h0": 1 - cx.rank_d0,
+        "h0": 1 - rank_d0,
         "h2": alg.dim2 - rank_d1,
     }
     return Beta1Result(value, "full", certificate)
@@ -100,8 +92,7 @@ def beta1_restricted(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
         raise NotInvertibleError(
             f"coefficient sum is 0 mod {alg.p}; use the full computation"
         )
-    cx = AomotoComplex(alg, xi)
-    restricted = cx.d1 @ sum_zero_basis(alg.n, alg.p)
+    restricted = _d1(alg, xi) @ sum_zero_basis(alg.n, alg.p)
     rank_restricted = restricted.rank()
     value = (alg.n - 1) - rank_restricted
     certificate = {

@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .aomoto import beta1_full
 from .degeneration import (
     NoTransversalError,
     TooFewClassesError,
@@ -40,8 +39,7 @@ from .geometry import (
     lattice,
 )
 from .modp import NotPrimeError, _check_modulus
-from .orlik_solomon import OSAlgebra
-from .report import mu_table, report
+from .report import beta1_by_line, mu_table, report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -124,12 +122,7 @@ def cmd_beta1(args) -> int:
         choices = list(range(degree))
     else:
         choices = [args.infinity if args.infinity is not None else 0]
-    results = []
-    lat = lattice(arr)
-    for idx in choices:
-        arr.check_index(idx)
-        alg = OSAlgebra(decone(arr, idx, lat), p)
-        results.append((idx, beta1_full(alg, alg.ones())))
+    results = list(zip(choices, beta1_by_line(arr, [p], choices)[p]))
     if args.json:
         payload = {
             "degree": degree,
@@ -171,12 +164,12 @@ def cmd_degenerate(args) -> int:
     aff = decone(arr, infinity)
     maps = []
     try:
-        maps.append(("total", None, delta_tot(aff, p)))
+        maps.append(delta_tot(aff, p))
     except TooFewClassesError:
         pass
     for a in range(aff.num_classes):
         try:
-            maps.append(("directional", a, delta_dir(aff, a, p)))
+            maps.append(delta_dir(aff, a, p))
         except NoTransversalError:
             pass
     if args.json:
@@ -186,13 +179,13 @@ def cmd_degenerate(args) -> int:
             "classes": [list(c) for c in aff.classes],
             "maps": [
                 {
-                    "kind": kind,
-                    "class": a,
+                    "kind": dmap.kind,
+                    "class": dmap.class_index,
                     "deg1": dmap.deg1_matrix.tolist(),
                     "deg2": dmap.deg2_matrix.tolist(),
                     "verified": dmap.verified,
                 }
-                for kind, a, dmap in maps
+                for dmap in maps
             ],
         }
         print(canonical_json(payload))
@@ -201,8 +194,8 @@ def cmd_degenerate(args) -> int:
           + " ".join(str(list(c)) for c in aff.classes))
     if not maps:
         print("no degenerations available (single parallel class)")
-    for kind, a, dmap in maps:
-        tag = "total" if kind == "total" else f"directional, class {a}"
+    for dmap in maps:
+        tag = "total" if dmap.kind == "total" else f"directional, class {dmap.class_index}"
         print(f"{tag}: target has {dmap.target.n} lines, "
               f"degree 2 rank {dmap.target.dim2}")
         print(" deg1 matrix:")

@@ -187,9 +187,6 @@ class IntersectionLattice:
             hist[m] = hist.get(m, 0) + 1
         return hist
 
-    def on_line(self, i: int) -> list[tuple[ProjPoint, tuple[int, ...]]]:
-        return [(pt, inc) for pt, inc in self.points if i in inc]
-
 
 def lattice(arr: ProjArrangement) -> IntersectionLattice:
     """Group the C(n+1, 2) pairwise intersections by coincident point."""

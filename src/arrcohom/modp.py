@@ -170,9 +170,6 @@ class FpVector:
         self._binop_check(other)
         return FpVector(self.p, (self.data - other.data) % self.p)
 
-    def __neg__(self) -> "FpVector":
-        return FpVector(self.p, (-self.data) % self.p)
-
 
 class FpMatrix:
     """Dense matrix of residues mod a prime."""
@@ -187,10 +184,6 @@ class FpMatrix:
         data = data % self.p
         data.flags.writeable = False
         self.data = data
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
 
     @property
     def rows(self) -> int:

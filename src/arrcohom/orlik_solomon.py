@@ -100,9 +100,6 @@ class OSAlgebra:
         """The sum of all degree 1 generators."""
         return FpVector(self.p, np.ones(self.n, dtype=np.int64))
 
-    def zero2(self) -> FpVector:
-        return FpVector(self.p, np.zeros(self.dim2, dtype=np.int64))
-
     def _check(self, v, degree: int, kind=FpVector) -> None:
         # type, modulus and length of an operand; a block of one-forms
         # (kind FpMatrix) is checked by its row count
@@ -163,11 +160,6 @@ class OSAlgebra:
         self._check(xi, 1)
         repeated = FpMatrix(self.p, np.repeat(xi.data[:, None], self.n, axis=1))
         return self.wedge11(repeated, FpMatrix(self.p, np.eye(self.n, dtype=np.int64)))
-
-    def coeff_sum_is_zero(self, x: FpVector) -> bool:
-        """Membership in the degree 1 subspace of coordinate sum zero."""
-        self._check(x, 1)
-        return x.sum() == 0
 
 
 class QuotientOSOracle:

@@ -13,18 +13,19 @@ divisors k >= 2 of n+1. Per order, the report records a verdict:
   the modular bound beta1 computed over F_p.
 * ``UNKNOWN``: none of the above applies.
 
-The modular bound for each prime divisor is computed from a deconing at a
-line minimizing the divisible-point count, then recomputed for every other
-choice of infinity line as a consistency check (the values must agree when
-p divides n+1).
+The modular bound is computed in one sweep over every deconing for every
+prime divisor p, each line deconed once and shared by all primes. The
+value reported for p is the one at the witness line, a line minimizing the
+divisible-point count; the sweep doubles as a consistency check, since the
+values must agree when p divides n+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aomoto import beta1_full
-from .geometry import IntersectionLattice, ProjArrangement, decone, is_essential, lattice, mu
+from .aomoto import Beta1Result, beta1_full
+from .geometry import IntersectionLattice, ProjArrangement, decone, is_essential, lattice
 from .orlik_solomon import OSAlgebra
 
 __all__ = [
@@ -35,7 +36,7 @@ __all__ = [
     "VanishingReport",
     "orders",
     "mu_table",
-    "beta1_of_deconing",
+    "beta1_by_line",
     "report",
     "BadDegreeError",
     "VANISHES_BY_LIBGOBER",
@@ -99,22 +100,24 @@ class MuTable:
     ks: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def value(self, i: int, k: int) -> int:
-        return self.rows[i][self.ks.index(k)]
-
     def column(self, k: int) -> tuple[int, ...]:
         c = self.ks.index(k)
         return tuple(row[c] for row in self.rows)
 
 
 def mu_table(arr: ProjArrangement, lat: IntersectionLattice | None = None) -> MuTable:
+    """Every divisible-point count in one pass over the lattice points
+    (``geometry.mu`` counts one line and one k)."""
     if lat is None:
         lat = lattice(arr)
     ks = tuple(o.k for o in orders(len(arr.lines)))
-    rows = tuple(
-        tuple(mu(arr, i, k, lat) for k in ks) for i in range(len(arr.lines))
-    )
-    return MuTable(ks, rows)
+    rows = [[0] * len(ks) for _ in arr.lines]
+    for _, inc in lat.points:
+        hits = [c for c, k in enumerate(ks) if len(inc) % k == 0]
+        for i in inc:
+            for c in hits:
+                rows[i][c] += 1
+    return MuTable(ks, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -191,17 +194,25 @@ class VanishingReport:
         }
 
 
-def beta1_of_deconing(
+def beta1_by_line(
     arr: ProjArrangement,
-    infinity_index: int,
-    p: int,
+    primes,
+    lines,
     lat: IntersectionLattice | None = None,
-) -> int:
-    """Modular bound for one choice of infinity line: the first cohomology
-    rank of the wedge complex of the deconed arrangement at the all-ones
-    one-form."""
-    alg = OSAlgebra(decone(arr, infinity_index, lat), p)
-    return beta1_full(alg, alg.ones()).value
+) -> dict[int, list[Beta1Result]]:
+    """Modular bound at every listed infinity line, for every prime: the
+    first cohomology rank of the wedge complex of the deconed arrangement
+    at the all-ones one-form. Each line is deconed once; the result maps
+    each prime to its results in line order."""
+    if lat is None:
+        lat = lattice(arr)
+    results: dict[int, list[Beta1Result]] = {p: [] for p in primes}
+    for h in lines:
+        aff = decone(arr, h, lat)
+        for p in primes:
+            alg = OSAlgebra(aff, p)
+            results[p].append(beta1_full(alg, alg.ones()))
+    return results
 
 
 def report(arr: ProjArrangement) -> VanishingReport:
@@ -212,15 +223,15 @@ def report(arr: ProjArrangement) -> VanishingReport:
     table = mu_table(arr, lat)
     all_orders = orders(degree)
 
+    primes = [o.prime_power[0] for o in all_orders
+              if o.prime_power is not None and o.prime_power[1] == 1]
+    by_line = beta1_by_line(arr, primes, range(degree), lat)
     prime_records = []
-    for order in all_orders:
-        if order.prime_power is None or order.prime_power[1] != 1:
-            continue
-        p = order.prime_power[0]
+    for p in primes:
         mus = table.column(p)
         min_mu = min(mus)
         witness = mus.index(min_mu)
-        betas = tuple(beta1_of_deconing(arr, i, p, lat) for i in range(degree))
+        betas = tuple(res.value for res in by_line[p])
         if len(set(betas)) != 1:
             raise RuntimeError(
                 f"modular bound depends on the deconing for p={p}; this is a bug"

@@ -1,8 +1,8 @@
+import importlib
 import json
 
 import pytest
 
-from arrcohom import cli
 from arrcohom.aomoto import Beta1Result
 from arrcohom.cli import main
 
@@ -54,13 +54,15 @@ def test_beta1_all_deconings(capsys):
 
 
 def test_beta1_all_deconings_disagreement_exits_1(capsys, monkeypatch):
-    honest = cli.beta1_full
+    # the module, not the function arrcohom.report that the package re-exports
+    report_module = importlib.import_module("arrcohom.report")
+    honest = report_module.beta1_full
 
     def skewed(alg, xi):
         res = honest(alg, xi)
         return Beta1Result(res.value + alg.aff.infinity_index, res.method, res.certificate)
 
-    monkeypatch.setattr(cli, "beta1_full", skewed)
+    monkeypatch.setattr(report_module, "beta1_full", skewed)
     code, _, err = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "3",
                        "--all-deconings")
     assert code == 1

@@ -140,7 +140,7 @@ def test_mu_generic_and_bounds():
         assert mu(arr, i, 3) == 0
     lat = lattice(arr)
     for i in range(3):
-        assert mu(arr, i, 2, lat) <= len(lat.on_line(i))
+        assert mu(arr, i, 2, lat) <= sum(1 for _, inc in lat.points if i in inc)
 
 
 def test_mu_errors(braid):

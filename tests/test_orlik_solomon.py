@@ -90,7 +90,7 @@ def test_wedge_antisymmetry_and_bilinearity():
             y = alg.deg1([rng.randrange(p) for _ in range(alg.n)])
             z = alg.deg1([rng.randrange(p) for _ in range(alg.n)])
             assert alg.wedge11(x, x).is_zero()
-            assert alg.wedge11(x, y) == -alg.wedge11(y, x)
+            assert (alg.wedge11(x, y) + alg.wedge11(y, x)).is_zero()
             assert alg.wedge11(x + y, z) == alg.wedge11(x, z) + alg.wedge11(y, z)
         nu = alg.ones()
         assert alg.wedge11(nu, nu).is_zero()
@@ -118,7 +118,7 @@ def test_parallel_wedge_formula():
             xi = alg.deg1([rng.randrange(p) for _ in range(r + 1)])
             c = [rng.randrange(p) for _ in range(r)]
             eta = alg.deg1(c + [0])
-            expected = alg.zero2()
+            expected = FpVector(p, np.zeros(alg.dim2, dtype=np.int64))
             for i in range(r):
                 expected = expected + FpVector(p, -xi[r] * c[i] * alg.pair_value(i, r).data)
             assert alg.wedge11(xi, eta) == expected
@@ -127,11 +127,11 @@ def test_parallel_wedge_formula():
 def test_coeff_sum_membership():
     aff = braid_affine()
     alg = OSAlgebra(aff, 5)
-    assert alg.coeff_sum_is_zero(alg.ones())  # n = 5 vanishes mod 5
-    assert alg.coeff_sum_is_zero(alg.unit(0) - alg.unit(1))
-    assert not alg.coeff_sum_is_zero(alg.unit(0))
+    assert alg.ones().sum() == 0  # n = 5 vanishes mod 5
+    assert (alg.unit(0) - alg.unit(1)).sum() == 0
+    assert alg.unit(0).sum() != 0
     alg3 = OSAlgebra(aff, 3)
-    assert not alg3.coeff_sum_is_zero(alg3.ones())
+    assert alg3.ones().sum() != 0
 
 
 def test_quotient_oracle_tiny_cases():
@@ -227,7 +227,8 @@ def test_wedge_matches_oracle_on_box_arrangements():
             # residues p - 1 everywhere: at a point of multiplicity m >= 4 the
             # unreduced coefficient (m - 1)(p - 1)**2 would leave int64 at p = 2**31 - 1
             for j in range(aff.n):
-                lhs = alg.wedge11(-alg.ones(), -alg.unit(j))
+                minus_ones = FpVector(p, -alg.ones().data)
+                lhs = alg.wedge11(minus_ones, FpVector(p, -alg.unit(j).data))
                 assert lhs == alg.wedge11(alg.ones(), alg.unit(j))
 
 

@@ -1,8 +1,10 @@
+import importlib
 import json
 
 import pytest
 
 from arrcohom import catalog
+from arrcohom.aomoto import Beta1Result
 from arrcohom.geometry import is_essential, lattice, mu
 from arrcohom.report import (
     BOUNDED_BY_PS,
@@ -10,11 +12,15 @@ from arrcohom.report import (
     VANISHES_BY_LIBGOBER,
     VANISHES_BY_THM13,
     BadDegreeError,
-    beta1_of_deconing,
+    beta1_by_line,
     mu_table,
     orders,
     report,
 )
+from conftest import box_arrangements
+
+# the module, not the function arrcohom.report that the package re-exports
+REPORT_MODULE = importlib.import_module("arrcohom.report")
 
 
 def test_orders_examples():
@@ -53,6 +59,19 @@ def test_mu_table_pencil_and_generic():
     table4 = mu_table(catalog.generic(4))
     assert table4.column(2) == (3, 3, 3, 3)
     assert table4.column(4) == (0, 0, 0, 0)
+
+
+def test_mu_table_matches_mu(members):
+    # the one-pass table against the per-line, per-k count of geometry.mu
+    sources = [arr for _, arr in members]
+    sources += [aff.source for aff in box_arrangements(50, seed=2024)]
+    for arr in sources:
+        lat = lattice(arr)
+        table = mu_table(arr, lat)
+        assert table.ks == tuple(o.k for o in orders(len(arr.lines)))
+        assert len(table.rows) == len(arr.lines)
+        for i, row in enumerate(table.rows):
+            assert row == tuple(mu(arr, i, k, lat) for k in table.ks)
 
 
 def test_mu_monotone_under_divisibility(members):
@@ -138,7 +157,43 @@ def test_small_mu_vanishing_sweep(members):
                 continue
             min_mu = min(mu(arr, i, p, lat) for i in range(degree))
             if essential and min_mu <= 1:
-                assert beta1_of_deconing(arr, 0, p) == 0, (name, p)
+                assert beta1_by_line(arr, [p], [0])[p][0].value == 0, (name, p)
+
+
+def _shift_beta1(monkeypatch, shift):
+    honest = REPORT_MODULE.beta1_full
+
+    def shifted(alg, xi):
+        res = honest(alg, xi)
+        return Beta1Result(res.value + shift(alg), res.method, res.certificate)
+
+    monkeypatch.setattr(REPORT_MODULE, "beta1_full", shifted)
+
+
+def test_report_rejects_deconing_dependent_bound(monkeypatch, braid):
+    _shift_beta1(monkeypatch, lambda alg: alg.aff.infinity_index)
+    with pytest.raises(RuntimeError, match="depends on the deconing for p=2; this is a bug"):
+        report(braid)
+
+
+def test_report_rejects_violated_vanishing_criterion(monkeypatch, braid):
+    # the small-mu theorem applies to braid-a3 at p = 2, so beta1 must be 0
+    _shift_beta1(monkeypatch, lambda alg: 1)
+    with pytest.raises(RuntimeError, match="vanishing criterion violated for p=2"):
+        report(braid)
+
+
+def test_report_decones_each_line_once(monkeypatch, braid):
+    # one deconing per line, shared by both prime divisors 2 and 3 of 6
+    honest, lines = REPORT_MODULE.decone, []
+
+    def counted(arr, h, lat=None):
+        lines.append(h)
+        return honest(arr, h, lat)
+
+    monkeypatch.setattr(REPORT_MODULE, "decone", counted)
+    report(braid)
+    assert sorted(lines) == list(range(6))
 
 
 def test_thm13_verdict_implies_zero_bound(members):

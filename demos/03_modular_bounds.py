@@ -3,14 +3,16 @@
 
 For a one-form xi, left wedge gives a two-step complex
 R -> A^1 -> A^2. Its first cohomology rank at the all-ones form is the
-modular quantity that bounds Milnor fiber eigenspace dimensions. Two
-independent computations are compared throughout: the full definition,
-and (when the coefficient sum is invertible) the kernel of the wedge map
+modular quantity that bounds Milnor fiber eigenspace dimensions. Three
+computations are compared: the full definition (a dense rank of d1), the
+kernel read off the incidences (lines merged along the points whose
+multiplicity p does not divide, then a small count matrix M), and (when
+the coefficient sum is invertible) the kernel of the wedge map
 restricted to the sum-zero subspace.
 """
 
-from arrcohom import OSAlgebra, beta1_full, beta1_restricted, decone
-from arrcohom.aomoto import NotInvertibleError, central_fixture, parallel_fixture
+from arrcohom import FpMatrix, OSAlgebra, beta1_full, beta1_ones, beta1_restricted, decone
+from arrcohom.aomoto import NotInvertibleError, central_fixture, count_matrix, parallel_fixture
 from arrcohom.catalog import braid_a3, pencil
 
 # the braid arrangement: the bound is 1 over F_3 and 0 over F_2
@@ -19,6 +21,13 @@ for p in (2, 3):
     alg = OSAlgebra(decone(arr, 2), p)
     res = beta1_full(alg, alg.ones())
     print(f"braid, p={p}: beta1 = {res.value}  certificate {res.certificate}")
+
+# the same number from the incidences, next to the certificate above
+aff = decone(arr, 2)
+m = count_matrix(aff, 3)
+rank_m = FpMatrix(3, m).rank()
+print(f"incidences over F_3: {m.shape[1]} components, M is {m.shape[0]} x {m.shape[1]} "
+      f"of rank {rank_m}, beta1 = {m.shape[1]} - {rank_m} - 1 = {beta1_ones(aff, 3).value}")
 
 # the restricted shortcut agrees whenever it applies (n = 5 affine lines,
 # so the coefficient sum of the all-ones form is 5)

@@ -12,6 +12,7 @@ from .aomoto import (
     Beta1Result,
     NotInvertibleError,
     beta1_full,
+    beta1_ones,
     beta1_restricted,
     central_fixture,
     parallel_fixture,

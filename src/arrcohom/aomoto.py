@@ -1,7 +1,9 @@
 """The wedge cochain complex of an arrangement over F_p and its first
 cohomology rank, plus the two model arrangements every degeneration
 targets (a pencil of s lines through one point, and r parallels crossed
-by one transversal)."""
+by one transversal). ``beta1_ones`` reads the kernel of d1 at the
+all-ones form off the incidences (Falk's resonance over F_p); the dense
+definition ``beta1_full`` is its independent check."""
 
 from __future__ import annotations
 
@@ -11,12 +13,14 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import AffineArrangement, ProjArrangement, decone
-from .modp import FpMatrix, FpVector
+from .modp import FpMatrix, FpVector, _check_modulus, _rref_raw
 from .orlik_solomon import OSAlgebra
 
 __all__ = [
     "Beta1Result",
     "beta1_full",
+    "beta1_ones",
+    "count_matrix",
     "beta1_restricted",
     "sum_zero_basis",
     "central_fixture",
@@ -52,24 +56,54 @@ def _d1(alg: OSAlgebra, xi: FpVector) -> FpMatrix:
     return d1
 
 
+def _full_result(n: int, dim2: int, rank_d0: int, rank_d1: int) -> Beta1Result:
+    certificate = {"dim1": n, "dim2": dim2, "rank_d0": rank_d0, "rank_d1": rank_d1,
+                   "dim_ker_d1": n - rank_d1, "h0": 1 - rank_d0, "h2": dim2 - rank_d1}
+    return Beta1Result(n - rank_d1 - rank_d0, "full", certificate)
+
+
 def beta1_full(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     """First cohomology rank straight from the definition: the kernel of
     wedging into degree 2, minus the image of degree 0."""
     xi = alg.deg1(xi)
     rank_d0 = 0 if xi.is_zero() else 1
-    rank_d1 = _d1(alg, xi).rank()
-    dim_ker = alg.n - rank_d1
-    value = dim_ker - rank_d0
-    certificate = {
-        "dim1": alg.n,
-        "dim2": alg.dim2,
-        "rank_d0": rank_d0,
-        "rank_d1": rank_d1,
-        "dim_ker_d1": dim_ker,
-        "h0": 1 - rank_d0,
-        "h2": alg.dim2 - rank_d1,
-    }
-    return Beta1Result(value, "full", certificate)
+    return _full_result(alg.n, alg.dim2, rank_d0, _d1(alg, xi).rank())
+
+
+def count_matrix(aff: AffineArrangement, p: int) -> np.ndarray:
+    """The kernel of d1 at the all-ones form as a small null space. Columns:
+    the components of a union-find along the finite points X with m_X = 2 or
+    p not dividing m_X (kernel forms are constant there). Rows: the other
+    points (kernel forms sum to zero there), holding their lines' counts."""
+    parent = list(range(aff.n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    sums = []
+    for inc in aff.finite_points:
+        if len(inc) > 2 and len(inc) % p == 0:
+            sums.append(inc)
+        else:
+            for j in inc[1:]:
+                parent[find(j)] = find(inc[0])
+    roots = [find(i) for i in range(aff.n)]
+    m = np.zeros((len(sums), aff.n), dtype=np.int64)
+    for row, inc in enumerate(sums):
+        m[row] = np.bincount([roots[j] for j in inc], minlength=aff.n)
+    return m[:, sorted(set(roots))] % p
+
+
+def beta1_ones(aff: AffineArrangement, p: int) -> Beta1Result:
+    """``beta1_full`` at the all-ones form: ker d1 is ``count_matrix``'s null space."""
+    p = _check_modulus(p)
+    m = count_matrix(aff, p)
+    dim_ker = m.shape[1] - len(_rref_raw(m, p)[1])
+    dim2 = sum(map(len, aff.finite_points)) - len(aff.finite_points)
+    return _full_result(aff.n, dim2, 1, aff.n - dim_ker)
 
 
 def sum_zero_basis(n: int, p: int) -> FpMatrix:

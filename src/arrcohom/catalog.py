@@ -8,7 +8,7 @@ from typing import Callable
 from .geometry import ProjArrangement
 
 __all__ = ["CatalogEntry", "BUILTINS", "BadParameterError", "build_named", "sweep_members",
-           "braid_a3", "pencil", "near_pencil", "generic", "fermat", "fig3"]
+           "braid_a3", "pencil", "near_pencil", "generic", "fermat", "fig3", "b3", "deleted_b3"]
 
 
 class BadParameterError(ValueError):
@@ -72,6 +72,18 @@ def fig3() -> ProjArrangement:
     )
 
 
+def b3() -> ProjArrangement:
+    """x, y, z, x±y, x±z, y±z: 3 quadruple, 4 triple and 6 double points."""
+    return ProjArrangement.from_coeffs([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
+                                        (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)])
+
+
+def deleted_b3() -> ProjArrangement:
+    """x, y, z, x-y, x-z, y-z, x-y-z, x-y+z: 1 quadruple, 6 triple, 4 double points."""
+    return ProjArrangement.from_coeffs([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
+                                        (0, 1, -1), (1, -1, -1), (1, -1, 1)])
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -86,6 +98,8 @@ BUILTINS: dict[str, CatalogEntry] = {
     "generic": CatalogEntry("generic", generic, True),
     "fermat": CatalogEntry("fermat", fermat, True),
     "fig3": CatalogEntry("fig3", fig3, False),
+    "b3": CatalogEntry("b3", b3, False),
+    "deleted-b3": CatalogEntry("deleted-b3", deleted_b3, False),
 }
 
 
@@ -112,6 +126,8 @@ def sweep_members(max_lines: int = 12) -> list[tuple[str, ProjArrangement]]:
         members.append(("braid-a3", braid_a3()))
         members.append(("fig3", fig3()))
         members.append(("fermat-2", fermat(2)))
+    members += [(name, arr) for name, arr in (("deleted-b3", deleted_b3()), ("b3", b3()))
+                if len(arr) <= max_lines]
     if max_lines >= 3:
         members.append(("fermat-1", fermat(1)))
     for m in range(3, max_lines + 1):

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: ``lattice`` (intersection points and divisible-point table),
-``beta1`` (modular first cohomology rank of a deconing), ``degenerate``
+``beta1`` (modular first cohomology rank of a deconing, read off the
+incidences, the dense definition checking the first line), ``degenerate``
 (degeneration matrices and the result of their construction-time
 verification), ``report`` (full vanishing report). Arrangements come
 from a file (one line per projective line, three integers, ``#``

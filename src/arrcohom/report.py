@@ -14,7 +14,8 @@ divisors k >= 2 of n+1. Per order, the report records a verdict:
 * ``UNKNOWN``: none of the above applies.
 
 The modular bound is computed in one sweep over every deconing for every
-prime divisor p, each line deconed once and shared by all primes. The
+prime divisor p, each line deconed once and its kernel read off the
+incidences for all primes; the dense definition must agree at line 0. The
 value reported for p is the one at the witness line, a line minimizing the
 divisible-point count; the sweep doubles as a consistency check, since the
 values must agree when p divides n+1.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aomoto import Beta1Result, beta1_full
+from .aomoto import Beta1Result, beta1_full, beta1_ones
 from .geometry import IntersectionLattice, ProjArrangement, decone, is_essential, lattice
 from .orlik_solomon import OSAlgebra
 
@@ -202,16 +203,21 @@ def beta1_by_line(
 ) -> dict[int, list[Beta1Result]]:
     """Modular bound at every listed infinity line, for every prime: the
     first cohomology rank of the wedge complex of the deconed arrangement
-    at the all-ones one-form. Each line is deconed once; the result maps
-    each prime to its results in line order."""
+    at the all-ones one-form, read off the incidences. Each line is deconed
+    once; the result maps each prime to its results in line order. The dense
+    definition must agree at the first listed line."""
     if lat is None:
         lat = lattice(arr)
     results: dict[int, list[Beta1Result]] = {p: [] for p in primes}
     for h in lines:
         aff = decone(arr, h, lat)
         for p in primes:
-            alg = OSAlgebra(aff, p)
-            results[p].append(beta1_full(alg, alg.ones()))
+            results[p].append(res := beta1_ones(aff, p))
+            if h == lines[0]:
+                alg = OSAlgebra(aff, p)
+                if beta1_full(alg, alg.ones()) != res:
+                    raise RuntimeError(f"incidence kernel and dense definition disagree "
+                                       f"for p={p} at infinity line {h}; this is a bug")
     return results
 
 

@@ -8,14 +8,16 @@ from arrcohom.aomoto import (
     BadSizeError,
     NotInvertibleError,
     beta1_full,
+    beta1_ones,
     beta1_restricted,
     central_fixture,
     parallel_fixture,
     sum_zero_basis,
 )
-from arrcohom.geometry import decone
+from arrcohom.geometry import decone, lattice
 from arrcohom.modp import FpMatrix
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
+from conftest import box_arrangements
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -195,3 +197,27 @@ def test_complex_rejects_wedge_matrix_not_killing_xi(monkeypatch, braid):
     monkeypatch.setattr(OSAlgebra, "wedge_matrix", broken)
     with pytest.raises(RuntimeError, match="this is a bug"):
         beta1_full(alg, alg.ones())  # coefficient sum 5 is nonzero mod 3
+
+
+@pytest.fixture(scope="module")
+def every_deconing(members):
+    """Every catalog member at every infinity line, plus 50 seeded boxes."""
+    affs = []
+    for _, arr in members:
+        lat = lattice(arr)
+        affs += [decone(arr, h, lat) for h in range(len(arr.lines))]
+    return affs + box_arrangements(50, 2024)
+
+
+# no point's multiplicity is divisible by 2**31 - 1: the small matrix has no
+# rows there and the kernel comes from the union-find alone
+@pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
+def test_incidence_kernel_matches_definition_and_oracle(every_deconing, p):
+    nonzero = 0
+    for aff in every_deconing:
+        alg = OSAlgebra(aff, p)
+        res = beta1_ones(aff, p)
+        assert res == beta1_full(alg, alg.ones()), (aff.source, aff.infinity_index)
+        assert res.value == QuotientOSOracle(aff, p).beta1([1] * aff.n)
+        nonzero += res.value > 0
+    assert nonzero > 0

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from arrcohom.aomoto import Beta1Result
+from arrcohom.catalog import BUILTINS
 from arrcohom.cli import main
 
 
@@ -56,17 +57,31 @@ def test_beta1_all_deconings(capsys):
 def test_beta1_all_deconings_disagreement_exits_1(capsys, monkeypatch):
     # the module, not the function arrcohom.report that the package re-exports
     report_module = importlib.import_module("arrcohom.report")
-    honest = report_module.beta1_full
+    honest = report_module.beta1_ones
 
-    def skewed(alg, xi):
-        res = honest(alg, xi)
-        return Beta1Result(res.value + alg.aff.infinity_index, res.method, res.certificate)
+    def skewed(aff, p):
+        res = honest(aff, p)
+        return Beta1Result(res.value + aff.infinity_index, res.method, res.certificate)
 
-    monkeypatch.setattr(report_module, "beta1_full", skewed)
+    monkeypatch.setattr(report_module, "beta1_ones", skewed)
     code, _, err = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "3",
                        "--all-deconings")
     assert code == 1
     assert "error: deconing changed beta1 although p divides the degree" in err
+
+
+def test_beta1_dense_disagreement_raises(monkeypatch):
+    # the dense definition checks the incidence kernel at the first line
+    report_module = importlib.import_module("arrcohom.report")
+    honest = report_module.beta1_full
+
+    def off_by_one(alg, xi):
+        res = honest(alg, xi)
+        return Beta1Result(res.value + 1, res.method, res.certificate)
+
+    monkeypatch.setattr(report_module, "beta1_full", off_by_one)
+    with pytest.raises(RuntimeError, match="disagree for p=3 at infinity line 0; this is a bug"):
+        main(["beta1", "--builtin", "braid-a3", "--prime", "3"])
 
 
 def test_beta1_pencil_degenerate_input(capsys):
@@ -123,7 +138,7 @@ def test_report_text(capsys):
 def test_report_never_crashes_on_catalog(capsys, members):
     for name, _ in members:
         base = name.rsplit("-", 1)
-        if name in ("braid-a3", "fig3"):
+        if name in BUILTINS:
             args = ["report", "--builtin", name]
         else:
             args = ["report", "--builtin", base[0], "--m", base[1]]

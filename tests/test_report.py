@@ -161,25 +161,42 @@ def test_small_mu_vanishing_sweep(members):
 
 
 def _shift_beta1(monkeypatch, shift):
-    honest = REPORT_MODULE.beta1_full
+    # a wrong sweep that the dense check cannot see: both paths are shifted
+    # alike, so only report's own checks are left to catch it
+    honest_ones, honest_full = REPORT_MODULE.beta1_ones, REPORT_MODULE.beta1_full
 
-    def shifted(alg, xi):
-        res = honest(alg, xi)
-        return Beta1Result(res.value + shift(alg), res.method, res.certificate)
+    def shifted(res, aff):
+        return Beta1Result(res.value + shift(aff), res.method, res.certificate)
 
-    monkeypatch.setattr(REPORT_MODULE, "beta1_full", shifted)
+    monkeypatch.setattr(REPORT_MODULE, "beta1_ones",
+                        lambda aff, p: shifted(honest_ones(aff, p), aff))
+    monkeypatch.setattr(REPORT_MODULE, "beta1_full",
+                        lambda alg, xi: shifted(honest_full(alg, xi), alg.aff))
 
 
 def test_report_rejects_deconing_dependent_bound(monkeypatch, braid):
-    _shift_beta1(monkeypatch, lambda alg: alg.aff.infinity_index)
+    _shift_beta1(monkeypatch, lambda aff: aff.infinity_index)
     with pytest.raises(RuntimeError, match="depends on the deconing for p=2; this is a bug"):
         report(braid)
 
 
 def test_report_rejects_violated_vanishing_criterion(monkeypatch, braid):
     # the small-mu theorem applies to braid-a3 at p = 2, so beta1 must be 0
-    _shift_beta1(monkeypatch, lambda alg: 1)
+    _shift_beta1(monkeypatch, lambda aff: 1)
     with pytest.raises(RuntimeError, match="vanishing criterion violated for p=2"):
+        report(braid)
+
+
+def test_report_rejects_dense_disagreement(monkeypatch, braid):
+    honest = REPORT_MODULE.beta1_full
+
+    def off_by_one(alg, xi):
+        res = honest(alg, xi)
+        return Beta1Result(res.value + 1, res.method, res.certificate)
+
+    monkeypatch.setattr(REPORT_MODULE, "beta1_full", off_by_one)
+    with pytest.raises(RuntimeError, match="dense definition disagree for p=2 at "
+                                           "infinity line 0; this is a bug"):
         report(braid)
 
 

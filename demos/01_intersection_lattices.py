@@ -6,7 +6,7 @@ stored gcd-reduced with the first nonzero coefficient positive. That
 makes intersection grouping exact: no epsilons anywhere.
 """
 
-from arrcohom import decone, intersect, lattice, mu, parse_line
+from arrcohom import decone, intersect, mu, parse_line
 from arrcohom.catalog import braid_a3, generic, pencil
 
 # canonicalization in action
@@ -18,9 +18,11 @@ for raw in [(0, 0, 2), (-1, 1, 0), (2, -4, 6)]:
 l1, l2 = parse_line((1, -1, 0)), parse_line((1, 0, -1))
 print(f"\n{l1} meets {l2} at {intersect(l1, l2)}")
 
-# the six-line braid arrangement x y z (x-y)(x-z)(y-z)
+# the six-line braid arrangement x y z (x-y)(x-z)(y-z); its intersection
+# lattice is computed on first use and kept on the arrangement, so mu and
+# decone below read this one lattice
 arr = braid_a3()
-lat = lattice(arr)
+lat = arr.lattice
 print(f"\nbraid arrangement: {len(arr.lines)} lines, {len(lat)} intersection points")
 for pt, inc in lat.points:
     print(f"  {pt}  lines {list(inc)}  (multiplicity {len(inc)})")
@@ -30,11 +32,11 @@ print(f"multiplicity histogram: {lat.histogram()}")
 # On the braid arrangement every line sees two triple points and one double.
 print("\ndivisible-point counts on the braid arrangement:")
 for k in (2, 3, 6):
-    print(f"  k={k}: {[mu(arr, i, k, lat) for i in range(6)]}")
+    print(f"  k={k}: {[mu(arr, i, k) for i in range(6)]}")
 
 # a pencil has a single intersection point, so it is not essential
-print(f"\npencil of 5 lines: {lattice(pencil(5)).histogram()} (one point only)")
-print(f"generic 4 lines:   {lattice(generic(4)).histogram()} (all double points)")
+print(f"\npencil of 5 lines: {pencil(5).lattice.histogram()} (one point only)")
+print(f"generic 4 lines:   {generic(4).lattice.histogram()} (all double points)")
 
 # deconing: send line 2 (the line z) to infinity. The other lines become
 # generators 0..4 in source order (source line s is generator s - (s > 2)),

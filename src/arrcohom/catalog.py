@@ -8,7 +8,8 @@ from typing import Callable
 from .geometry import ProjArrangement
 
 __all__ = ["CatalogEntry", "BUILTINS", "BadParameterError", "build_named", "sweep_members",
-           "braid_a3", "pencil", "near_pencil", "generic", "fermat", "fig3", "b3", "deleted_b3"]
+           "braid_a3", "pencil", "near_pencil", "generic", "fermat", "fig3", "b3", "deleted_b3",
+           "pappus"]
 
 
 class BadParameterError(ValueError):
@@ -84,6 +85,12 @@ def deleted_b3() -> ProjArrangement:
                                         (0, 1, -1), (1, -1, -1), (1, -1, 1)])
 
 
+def pappus() -> ProjArrangement:
+    """The Pappus configuration: 9 lines, 9 triple and 9 double points."""
+    return ProjArrangement.from_coeffs([(0, 1, 0), (0, 1, -1), (1, -2, 3), (1, -4, 3), (1, 1, 1),
+                                        (1, -2, 1), (1, 2, 0), (1, 1, 0), (1, 4, -1)])
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -100,6 +107,7 @@ BUILTINS: dict[str, CatalogEntry] = {
     "fig3": CatalogEntry("fig3", fig3, False),
     "b3": CatalogEntry("b3", b3, False),
     "deleted-b3": CatalogEntry("deleted-b3", deleted_b3, False),
+    "pappus": CatalogEntry("pappus", pappus, False),
 }
 
 
@@ -126,7 +134,8 @@ def sweep_members(max_lines: int = 12) -> list[tuple[str, ProjArrangement]]:
         members.append(("braid-a3", braid_a3()))
         members.append(("fig3", fig3()))
         members.append(("fermat-2", fermat(2)))
-    members += [(name, arr) for name, arr in (("deleted-b3", deleted_b3()), ("b3", b3()))
+    members += [(name, arr) for name, arr in
+                (("deleted-b3", deleted_b3()), ("b3", b3()), ("pappus", pappus()))
                 if len(arr) <= max_lines]
     if max_lines >= 3:
         members.append(("fermat-1", fermat(1)))

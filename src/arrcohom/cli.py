@@ -6,7 +6,7 @@ incidences, the dense definition checking the first line), ``degenerate``
 (degeneration matrices and the result of their construction-time
 verification), ``report`` (full vanishing report). Arrangements come
 from a file (one line per projective line, three integers, ``#``
-comments) or from ``--builtin``.
+comments) or from ``--builtin`` (``--m`` sizes the parametric ones).
 
 Exit codes: 0 success, 1 ``beta1 --all-deconings`` found deconings that
 disagree although p divides the degree (deconing invariance broken, a
@@ -37,7 +37,6 @@ from .geometry import (
     ZeroLineError,
     decone,
     is_essential,
-    lattice,
 )
 from .modp import NotPrimeError, _check_modulus
 from .report import beta1_by_line, mu_table, report
@@ -83,6 +82,8 @@ def resolve_arrangement(args) -> ProjArrangement:
         raise ParseError("give either a file or --builtin, not both")
     if args.builtin is not None:
         return catalog.build_named(args.builtin, args.m)
+    if args.m is not None:
+        raise ParseError("--m needs --builtin")
     if args.file is not None:
         return read_arrangement_file(args.file)
     raise ParseError("no input: give a file or --builtin NAME")
@@ -90,12 +91,12 @@ def resolve_arrangement(args) -> ProjArrangement:
 
 def cmd_lattice(args) -> int:
     arr = resolve_arrangement(args)
-    lat = lattice(arr)
-    table = mu_table(arr, lat)
+    lat = arr.lattice
+    table = mu_table(arr)
     if args.json:
         payload = {
             "degree": len(arr.lines),
-            "essential": is_essential(arr, lat),
+            "essential": is_essential(arr),
             "points": [
                 {"point": list(pt.coords), "lines": list(inc)} for pt, inc in lat.points
             ],
@@ -108,7 +109,7 @@ def cmd_lattice(args) -> int:
     for pt, inc in lat.points:
         print(f"  {pt}  multiplicity {len(inc)}  lines {list(inc)}")
     print(f"multiplicity histogram: {dict(sorted(lat.histogram().items()))}")
-    print(f"essential: {is_essential(arr, lat)}")
+    print(f"essential: {is_essential(arr)}")
     print(f"divisible-point counts, k in {list(table.ks)}:")
     for i, row in enumerate(table.rows):
         print(f"  line {i} {arr.lines[i]}: {list(row)}")

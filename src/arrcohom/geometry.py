@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 __all__ = [
@@ -135,7 +136,8 @@ class ProjArrangement:
 
     Line indices run 0..n, so an arrangement has n + 1 lines. Duplicates
     are rejected outright since every multiplicity count downstream
-    assumes a simple arrangement.
+    assumes a simple arrangement. The intersection lattice is computed on
+    first use and kept on the instance, so it always belongs to these lines.
     """
 
     lines: tuple[ProjLine, ...]
@@ -164,6 +166,10 @@ class ProjArrangement:
         if not 0 <= i < len(self.lines):
             raise BadIndexError(f"line index {i} out of range 0..{len(self.lines) - 1}")
 
+    @cached_property
+    def lattice(self) -> "IntersectionLattice":
+        return lattice(self)
+
 
 @dataclass(frozen=True)
 class IntersectionLattice:
@@ -189,7 +195,7 @@ class IntersectionLattice:
 
 
 def lattice(arr: ProjArrangement) -> IntersectionLattice:
-    """Group the C(n+1, 2) pairwise intersections by coincident point."""
+    """Group the C(n+1, 2) pairwise intersections by coincident point, uncached."""
     incident: dict[ProjPoint, set[int]] = {}
     for i, j in combinations(range(len(arr.lines)), 2):
         pt = intersect(arr.lines[i], arr.lines[j])
@@ -201,21 +207,17 @@ def lattice(arr: ProjArrangement) -> IntersectionLattice:
     return IntersectionLattice(tuple(points))
 
 
-def mu(arr: ProjArrangement, i: int, k: int, lat: IntersectionLattice | None = None) -> int:
-    """Number of lattice points on line i whose multiplicity k divides."""
+def mu(arr: ProjArrangement, i: int, k: int) -> int:
+    """Number of points of ``arr.lattice`` on line i whose multiplicity k divides."""
     arr.check_index(i)
     if k < 2:
         raise BadKError(f"k must be at least 2, got {k}")
-    if lat is None:
-        lat = lattice(arr)
-    return sum(1 for _, inc in lat.points if i in inc and len(inc) % k == 0)
+    return sum(1 for _, inc in arr.lattice.points if i in inc and len(inc) % k == 0)
 
 
-def is_essential(arr: ProjArrangement, lat: IntersectionLattice | None = None) -> bool:
+def is_essential(arr: ProjArrangement) -> bool:
     """True when the arrangement has at least two intersection points."""
-    if lat is None:
-        lat = lattice(arr)
-    return len(lat) >= 2
+    return len(arr.lattice) >= 2
 
 
 @dataclass(frozen=True)
@@ -245,12 +247,8 @@ class AffineArrangement:
         return len(self.classes)
 
 
-def decone(
-    arr: ProjArrangement,
-    infinity_index: int,
-    lat: IntersectionLattice | None = None,
-) -> AffineArrangement:
-    """Send one line to infinity, reading classes and points off the lattice.
+def decone(arr: ProjArrangement, infinity_index: int) -> AffineArrangement:
+    """Send one line to infinity, reading classes and points off ``arr.lattice``.
 
     A lattice point through the infinity line h is the point at infinity of
     one parallel class; every other lattice point is a finite point. Lattice
@@ -259,11 +257,9 @@ def decone(
     s -> s - (s > h) keeps every incidence tuple sorted.
     """
     arr.check_index(infinity_index)
-    if lat is None:
-        lat = lattice(arr)
     h = infinity_index
     classes, finite = [], []
-    for _, inc in lat.points:
+    for _, inc in arr.lattice.points:
         if h in inc:
             classes.append(tuple(s - (s > h) for s in inc if s != h))
         else:

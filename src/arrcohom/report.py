@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aomoto import Beta1Result, beta1_full, beta1_ones
-from .geometry import IntersectionLattice, ProjArrangement, decone, is_essential, lattice
+from .geometry import ProjArrangement, decone, is_essential
 from .orlik_solomon import OSAlgebra
 
 __all__ = [
@@ -106,14 +106,12 @@ class MuTable:
         return tuple(row[c] for row in self.rows)
 
 
-def mu_table(arr: ProjArrangement, lat: IntersectionLattice | None = None) -> MuTable:
-    """Every divisible-point count in one pass over the lattice points
-    (``geometry.mu`` counts one line and one k)."""
-    if lat is None:
-        lat = lattice(arr)
+def mu_table(arr: ProjArrangement) -> MuTable:
+    """Every divisible-point count in one pass over the points of
+    ``arr.lattice`` (``geometry.mu`` counts one line and one k)."""
     ks = tuple(o.k for o in orders(len(arr.lines)))
     rows = [[0] * len(ks) for _ in arr.lines]
-    for _, inc in lat.points:
+    for _, inc in arr.lattice.points:
         hits = [c for c, k in enumerate(ks) if len(inc) % k == 0]
         for i in inc:
             for c in hits:
@@ -195,22 +193,16 @@ class VanishingReport:
         }
 
 
-def beta1_by_line(
-    arr: ProjArrangement,
-    primes,
-    lines,
-    lat: IntersectionLattice | None = None,
-) -> dict[int, list[Beta1Result]]:
+def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Result]]:
     """Modular bound at every listed infinity line, for every prime: the
     first cohomology rank of the wedge complex of the deconed arrangement
     at the all-ones one-form, read off the incidences. Each line is deconed
-    once; the result maps each prime to its results in line order. The dense
-    definition must agree at the first listed line."""
-    if lat is None:
-        lat = lattice(arr)
+    once, from the lattice the arrangement keeps; the result maps each prime
+    to its results in line order. The dense definition must agree at the
+    first listed line."""
     results: dict[int, list[Beta1Result]] = {p: [] for p in primes}
     for h in lines:
-        aff = decone(arr, h, lat)
+        aff = decone(arr, h)
         for p in primes:
             results[p].append(res := beta1_ones(aff, p))
             if h == lines[0]:
@@ -223,15 +215,14 @@ def beta1_by_line(
 
 def report(arr: ProjArrangement) -> VanishingReport:
     """Full vanishing report for a projective arrangement."""
-    lat = lattice(arr)
     degree = len(arr.lines)
-    essential = is_essential(arr, lat)
-    table = mu_table(arr, lat)
+    essential = is_essential(arr)
+    table = mu_table(arr)
     all_orders = orders(degree)
 
     primes = [o.prime_power[0] for o in all_orders
               if o.prime_power is not None and o.prime_power[1] == 1]
-    by_line = beta1_by_line(arr, primes, range(degree), lat)
+    by_line = beta1_by_line(arr, primes, range(degree))
     prime_records = []
     for p in primes:
         mus = table.column(p)

@@ -13,7 +13,7 @@ from arrcohom.aomoto import (
     sum_zero_basis,
 )
 from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
-from arrcohom.geometry import decone, is_essential, lattice, mu
+from arrcohom.geometry import decone, is_essential, mu
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 from arrcohom.report import report
 
@@ -36,8 +36,7 @@ def test_criterion_01_braid_modular_bound_order3(braid):
     for infinity in range(6):
         alg = OSAlgebra(decone(braid, infinity), 3)
         values.append(beta1_full(alg, alg.ones()).value)
-    lat = lattice(braid)
-    mus = [mu(braid, i, 3, lat) for i in range(6)]
+    mus = [mu(braid, i, 3) for i in range(6)]
     elapsed = time.perf_counter() - start
     ok = values == [1] * 6 and mus == [2] * 6 and min(mus) > 1 and elapsed < 1.0
     _criterion(1, ok, f"braid p=3: beta1={values}, mu3={mus}, {elapsed:.3f}s")
@@ -45,14 +44,13 @@ def test_criterion_01_braid_modular_bound_order3(braid):
 
 def test_criterion_02_braid_vanishes_order2(braid):
     start = time.perf_counter()
-    lat = lattice(braid)
-    mus = [mu(braid, i, 2, lat) for i in range(6)]
+    mus = [mu(braid, i, 2) for i in range(6)]
     alg = OSAlgebra(decone(braid, 0), 2)
     value = beta1_full(alg, alg.ones()).value
     elapsed = time.perf_counter() - start
     ok = (
         mus == [1] * 6
-        and is_essential(braid, lat)
+        and is_essential(braid)
         and value == 0
         and elapsed < 1.0
     )
@@ -77,9 +75,8 @@ def test_criterion_04_oracle_equivalence(members):
     checked = 0
     violations = []
     for name, arr in members:
-        lat = lattice(arr)
         for infinity in _deconings(arr):
-            aff = decone(arr, infinity, lat)
+            aff = decone(arr, infinity)
             for p in (2, 3, 5, 7):
                 alg = OSAlgebra(aff, p)
                 oracle = QuotientOSOracle(aff, p)
@@ -96,9 +93,8 @@ def test_criterion_05_restricted_shortcut_agrees(members):
     checked = 0
     violations = []
     for name, arr in members:
-        lat = lattice(arr)
         for infinity in _deconings(arr):
-            aff = decone(arr, infinity, lat)
+            aff = decone(arr, infinity)
             for p in PRIMES_13:
                 if aff.n % p == 0:
                     continue
@@ -137,9 +133,8 @@ def test_criterion_07_degenerations_well_defined(members):
     checked = 0
     violations = []
     for name, arr in members:
-        lat = lattice(arr)
         for infinity in _deconings(arr, cap=6):
-            aff = decone(arr, infinity, lat)
+            aff = decone(arr, infinity)
             for p in (2, 3, 5):
                 maps = []
                 if aff.num_classes >= 2:
@@ -160,9 +155,8 @@ def test_criterion_08_kernel_forms_degenerate_to_zero(members):
     violations = []
     for name, arr in members:
         degree = len(arr.lines)
-        lat = lattice(arr)
         for infinity in _deconings(arr):
-            aff = decone(arr, infinity, lat)
+            aff = decone(arr, infinity)
             classes = aff.classes
             for p in PRIMES_13:
                 if degree % p:
@@ -203,9 +197,8 @@ def test_criterion_10_brieskorn_dimension(members, braid):
     braid_dim = OSAlgebra(decone(braid, 2), 3).dim2
     violations = []
     for name, arr in members:
-        lat = lattice(arr)
         for infinity in _deconings(arr):
-            aff = decone(arr, infinity, lat)
+            aff = decone(arr, infinity)
             expected = sum(len(inc) - 1 for inc in aff.finite_points)
             alg = OSAlgebra(aff, 3)
             oracle = QuotientOSOracle(aff, 3)

@@ -14,7 +14,7 @@ from arrcohom.aomoto import (
     parallel_fixture,
     sum_zero_basis,
 )
-from arrcohom.geometry import decone, lattice
+from arrcohom.geometry import decone
 from arrcohom.modp import FpMatrix
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 from conftest import box_arrangements
@@ -204,8 +204,7 @@ def every_deconing(members):
     """Every catalog member at every infinity line, plus 50 seeded boxes."""
     affs = []
     for _, arr in members:
-        lat = lattice(arr)
-        affs += [decone(arr, h, lat) for h in range(len(arr.lines))]
+        affs += [decone(arr, h) for h in range(len(arr.lines))]
     return affs + box_arrangements(50, 2024)
 
 

@@ -135,6 +135,11 @@ def test_report_text(capsys):
     assert "VANISHES_BY_THM13" in out
 
 
+def test_sweep_covers_every_fixed_builtin(members):
+    names = {name for name, _ in members}
+    assert {name for name, entry in BUILTINS.items() if not entry.parametric} <= names
+
+
 def test_report_never_crashes_on_catalog(capsys, members):
     for name, _ in members:
         base = name.rsplit("-", 1)
@@ -216,6 +221,15 @@ def test_exit_builtin_parameter_misuse(capsys):
     assert run(capsys, "lattice", "--builtin", "pencil")[0] == 2
     assert run(capsys, "lattice", "--builtin", "braid-a3", "--m", "4")[0] == 2
     assert run(capsys, "lattice", "--builtin", "fermat", "--m", "3")[0] == 2
+
+
+def test_exit_m_without_builtin(capsys, tmp_path):
+    path = tmp_path / "triangle.arr"
+    path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "lattice", str(path), "--m", "7")
+    assert code == 2
+    assert out == ""
+    assert "--m needs --builtin" in err
 
 
 def test_exit_bad_infinity(capsys):

@@ -21,7 +21,8 @@ from arrcohom.geometry import (
     mu,
     parse_line,
 )
-from arrcohom import catalog
+from arrcohom import catalog, geometry
+from arrcohom.report import report
 from conftest import box_arrangements
 
 
@@ -127,11 +128,10 @@ def test_pairing_completeness_and_pair_count(members):
 
 
 def test_mu_braid(braid):
-    lat = lattice(braid)
     for i in range(6):
-        assert mu(braid, i, 3, lat) == 2
-        assert mu(braid, i, 2, lat) == 1
-        assert mu(braid, i, 6, lat) == 0
+        assert mu(braid, i, 3) == 2
+        assert mu(braid, i, 2) == 1
+        assert mu(braid, i, 6) == 0
 
 
 def test_mu_generic_and_bounds():
@@ -140,7 +140,7 @@ def test_mu_generic_and_bounds():
         assert mu(arr, i, 3) == 0
     lat = lattice(arr)
     for i in range(3):
-        assert mu(arr, i, 2, lat) <= sum(1 for _, inc in lat.points if i in inc)
+        assert mu(arr, i, 2) <= sum(1 for _, inc in lat.points if i in inc)
 
 
 def test_mu_errors(braid):
@@ -186,10 +186,35 @@ def test_decone_bad_index(braid):
         decone(braid, 6)
 
 
-def test_decone_rejects_foreign_lattice(braid):
-    # classes read off a lattice of another arrangement cannot cover the lines
+def test_decone_rejects_foreign_lattice():
+    # classes read off a lattice of another arrangement cannot cover the lines;
+    # the foreign lattice is planted where the arrangement keeps its own
+    arr = catalog.braid_a3()
+    vars(arr)["lattice"] = lattice(catalog.generic(4))
     with pytest.raises(RuntimeError, match="this is a bug"):
-        decone(braid, 0, lattice(catalog.generic(4)))
+        decone(arr, 0)
+
+
+def test_one_lattice_per_arrangement(monkeypatch):
+    computed = []
+    honest = geometry.lattice
+
+    def counted(arr):
+        computed.append(arr)
+        return honest(arr)
+
+    monkeypatch.setattr(geometry, "lattice", counted)
+    arr = catalog.braid_a3()
+    report(arr)
+    decone(arr, 1)
+    mu(arr, 0, 3)
+    is_essential(arr)
+    assert len(computed) == 1 and computed[0] is arr
+    # an equal arrangement is another object with a lattice of its own
+    twin = catalog.braid_a3()
+    assert twin == arr
+    assert twin.lattice == arr.lattice
+    assert len(computed) == 2 and computed[1] is twin
 
 
 def test_decone_roundtrip_and_counts(members):
@@ -199,9 +224,8 @@ def test_decone_roundtrip_and_counts(members):
     sources = [arr for _, arr in members]
     sources += [aff.source for aff in box_arrangements(50, seed=2024)]
     for arr in sources:
-        lat = lattice(arr)
         for h in range(len(arr.lines)):
-            aff = decone(arr, h, lat)
+            aff = decone(arr, h)
             inf_line = arr.lines[h]
 
             def line(q):

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from arrcohom import catalog
-from arrcohom.aomoto import Beta1Result
-from arrcohom.geometry import is_essential, lattice, mu
+from arrcohom.aomoto import Beta1Result, beta1_ones
+from arrcohom.geometry import decone, is_essential, mu
+from arrcohom.orlik_solomon import QuotientOSOracle
 from arrcohom.report import (
     BOUNDED_BY_PS,
     UNKNOWN,
@@ -66,12 +67,11 @@ def test_mu_table_matches_mu(members):
     sources = [arr for _, arr in members]
     sources += [aff.source for aff in box_arrangements(50, seed=2024)]
     for arr in sources:
-        lat = lattice(arr)
-        table = mu_table(arr, lat)
+        table = mu_table(arr)
         assert table.ks == tuple(o.k for o in orders(len(arr.lines)))
         assert len(table.rows) == len(arr.lines)
         for i, row in enumerate(table.rows):
-            assert row == tuple(mu(arr, i, k, lat) for k in table.ks)
+            assert row == tuple(mu(arr, i, k) for k in table.ks)
 
 
 def test_mu_monotone_under_divisibility(members):
@@ -120,6 +120,20 @@ def test_pencil_report_not_essential():
     assert rec.bound == 3
 
 
+def test_pappus_report():
+    # 9 lines, 9 triple points: beta1 = 1 at p = 3 from every deconing
+    arr = catalog.pappus()
+    assert arr.lattice.histogram() == {2: 9, 3: 9}
+    for h in range(9):
+        aff = decone(arr, h)
+        assert beta1_ones(aff, 3).value == 1
+        assert QuotientOSOracle(aff, 3).beta1([1] * aff.n) == 1
+    rep = report(arr)
+    assert rep.prime_record(3).beta1_all_deconings == (1,) * 9
+    assert rep.order_record(3).verdict == BOUNDED_BY_PS
+    assert rep.order_record(3).bound == 1
+
+
 def test_generic4_report():
     rep = report(catalog.generic(4))
     rec2 = rep.prime_record(2)
@@ -149,13 +163,12 @@ def test_unknown_verdict_possible():
 
 def test_small_mu_vanishing_sweep(members):
     for name, arr in members:
-        lat = lattice(arr)
-        essential = is_essential(arr, lat)
+        essential = is_essential(arr)
         degree = len(arr.lines)
         for p in (2, 3, 5, 7, 11):
             if degree % p:
                 continue
-            min_mu = min(mu(arr, i, p, lat) for i in range(degree))
+            min_mu = min(mu(arr, i, p) for i in range(degree))
             if essential and min_mu <= 1:
                 assert beta1_by_line(arr, [p], [0])[p][0].value == 0, (name, p)
 
@@ -204,9 +217,9 @@ def test_report_decones_each_line_once(monkeypatch, braid):
     # one deconing per line, shared by both prime divisors 2 and 3 of 6
     honest, lines = REPORT_MODULE.decone, []
 
-    def counted(arr, h, lat=None):
+    def counted(arr, h):
         lines.append(h)
-        return honest(arr, h, lat)
+        return honest(arr, h)
 
     monkeypatch.setattr(REPORT_MODULE, "decone", counted)
     report(braid)

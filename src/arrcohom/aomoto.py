@@ -1,18 +1,17 @@
 """The wedge cochain complex of an arrangement over F_p and its first
 cohomology rank, plus the two model arrangements every degeneration
 targets (a pencil of s lines through one point, and r parallels crossed
-by one transversal). ``beta1_ones`` reads the kernel of d1 at the
-all-ones form off the incidences (Falk's resonance over F_p); the dense
-definition ``beta1_full`` is its independent check."""
+by one transversal), written as incidences. ``beta1_ones`` reads the
+kernel of d1 at the all-ones form off the incidences (Falk's resonance
+over F_p); the dense definition ``beta1_full`` is its independent check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .geometry import AffineArrangement, ProjArrangement, decone
+from .geometry import AffineArrangement
 from .modp import FpMatrix, FpVector, _check_modulus, _rref_raw
 from .orlik_solomon import OSAlgebra
 
@@ -137,24 +136,16 @@ def beta1_restricted(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     return Beta1Result(value, "restricted", certificate)
 
 
-# The fixtures are pure and frozen, and every degeneration map of an
-# arrangement targets one of them; caching spares a lattice per map.
-@lru_cache(maxsize=256)
 def central_fixture(s: int) -> AffineArrangement:
-    """s affine lines through the origin with pairwise distinct slopes."""
+    """s affine lines through one point, pairwise non-parallel."""
     if s < 2:
         raise BadSizeError(f"central model needs s >= 2, got {s}")
-    coeffs = [(0, 0, 1), (1, 0, 0)] + [(k, -1, 0) for k in range(s - 1)]
-    return decone(ProjArrangement.from_coeffs(coeffs), 0)
+    return AffineArrangement(s, 0, tuple((j,) for j in range(s)), (tuple(range(s)),))
 
 
-@lru_cache(maxsize=256)
 def parallel_fixture(r: int) -> AffineArrangement:
-    """r parallel vertical lines x = 1..r plus the transversal y = x.
-
-    Generators order the parallels first, the transversal last.
-    """
+    """r parallel lines (generators 0..r-1) crossed by one transversal (r)."""
     if r < 1:
         raise BadSizeError(f"parallel model needs r >= 1, got {r}")
-    coeffs = [(0, 0, 1)] + [(1, 0, -j) for j in range(1, r + 1)] + [(1, -1, 0)]
-    return decone(ProjArrangement.from_coeffs(coeffs), 0)
+    return AffineArrangement(r + 1, 0, (tuple(range(r)), (r,)),
+                             tuple((j, r) for j in range(r)))

@@ -8,9 +8,9 @@ verification), ``report`` (full vanishing report). Arrangements come
 from a file (one line per projective line, three integers, ``#``
 comments) or from ``--builtin`` (``--m`` sizes the parametric ones).
 
-Exit codes: 0 success, 1 ``beta1 --all-deconings`` found deconings that
-disagree although p divides the degree (deconing invariance broken, a
-bug), 2 unreadable or unparseable input or bad usage, 3 invalid
+Exit codes: 0 success, 1 an internal consistency check failed (a bug,
+reported with a traceback: e.g. deconings that disagree although p divides
+the degree), 2 unreadable or unparseable input or bad usage, 3 invalid
 arrangement (zero or duplicate lines, fewer than three), 4 modulus not
 prime.
 """
@@ -143,12 +143,8 @@ def cmd_beta1(args) -> int:
                 f"[{res.method}] {res.certificate}"
             )
     if args.all_deconings and degree % p == 0:
-        values = {res.value for _, res in results}
-        if len(values) != 1:
-            print("error: deconing changed beta1 although p divides the degree",
-                  file=sys.stderr)
-            return 1
-        print(f"all {degree} deconings agree: beta1 = {values.pop()}")
+        # beta1_by_line has already raised if they did not
+        print(f"all {degree} deconings agree: beta1 = {results[0][1].value}")
     return EXIT_OK
 
 

@@ -222,25 +222,18 @@ def is_essential(arr: ProjArrangement) -> bool:
 
 @dataclass(frozen=True)
 class AffineArrangement:
-    """A projective arrangement with one line sent to infinity.
-
-    Deconing is a relabelling of the intersection lattice into generator
-    positions: source line s becomes generator s - (s > h), so the n
-    surviving lines keep their source order. Each lattice point on the
-    infinity line h gives one parallel class, its other incident lines,
-    ordered by smallest member; the lattice points off h are the
-    ``finite_points``, in lattice order. Both are sorted tuples of
-    generator positions.
+    """An affine arrangement as incidence data: n lines (generators 0..n-1),
+    their parallel classes, ordered by smallest member, and their finite
+    intersection points, all as sorted tuples of generator positions. No
+    coordinates are kept, so equality is combinatorial. ``decone`` relabels
+    a projective lattice into this form; the two degeneration models of
+    ``aomoto`` are written down directly.
     """
 
-    source: ProjArrangement
+    n: int
     infinity_index: int
     classes: tuple[tuple[int, ...], ...]
     finite_points: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.source.lines) - 1
 
     @property
     def num_classes(self) -> int:
@@ -271,7 +264,7 @@ def decone(arr: ProjArrangement, infinity_index: int) -> AffineArrangement:
             f"parallel classes cover {covered} of {n} affine lines; this is a bug"
         )
     return AffineArrangement(
-        source=arr,
+        n=n,
         infinity_index=infinity_index,
         classes=tuple(classes),
         finite_points=tuple(finite),

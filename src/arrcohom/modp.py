@@ -112,18 +112,41 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.asarray((a.astype(object) @ b.astype(object)) % p, dtype=np.int64)
 
 
-class FpVector:
-    """Vector of residues mod a prime."""
+class _FpArray:
+    """Read-only int64 residues mod a prime, with ``_ndim`` dimensions."""
 
     __slots__ = ("p", "data")
+    _ndim, _kind = 0, ""
 
     def __init__(self, p: int, entries):
         self.p = _check_modulus(p)
-        data = np.asarray(entries, dtype=np.int64) % self.p
-        if data.ndim != 1:
-            raise DimensionMismatchError(f"expected a vector, got shape {data.shape}")
+        data = np.asarray(entries, dtype=np.int64)
+        if data.ndim != self._ndim:
+            raise DimensionMismatchError(f"expected a {self._kind}, got shape {data.shape}")
+        data = data % self.p
         data.flags.writeable = False
         self.data = data
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _FpArray)
+            and self.p == other.p
+            and self.data.shape == other.data.shape
+            and bool(np.array_equal(self.data, other.data))
+        )
+
+    def tolist(self) -> list:
+        return self.data.tolist()
+
+    def is_zero(self) -> bool:
+        return not self.data.any()
+
+
+class FpVector(_FpArray):
+    """Vector of residues mod a prime."""
+
+    __slots__ = ()
+    _ndim, _kind = 1, "vector"
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
@@ -134,22 +157,8 @@ class FpVector:
     def __iter__(self):
         return (int(x) for x in self.data)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpVector)
-            and self.p == other.p
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
     def __repr__(self) -> str:
         return f"FpVector(p={self.p}, {self.tolist()})"
-
-    def tolist(self) -> list[int]:
-        return [int(x) for x in self.data]
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
 
     def sum(self) -> int:
         return int(self.data.sum() % self.p)
@@ -171,19 +180,11 @@ class FpVector:
         return FpVector(self.p, (self.data - other.data) % self.p)
 
 
-class FpMatrix:
+class FpMatrix(_FpArray):
     """Dense matrix of residues mod a prime."""
 
-    __slots__ = ("p", "data")
-
-    def __init__(self, p: int, entries):
-        self.p = _check_modulus(p)
-        data = np.asarray(entries, dtype=np.int64)
-        if data.ndim != 2:
-            raise DimensionMismatchError(f"expected a matrix, got shape {data.shape}")
-        data = data % self.p
-        data.flags.writeable = False
-        self.data = data
+    __slots__ = ()
+    _ndim, _kind = 2, "matrix"
 
     @property
     def rows(self) -> int:
@@ -197,22 +198,8 @@ class FpMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, shape={self.shape})"
-
-    def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.data]
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
 
     def column(self, j: int) -> FpVector:
         return FpVector(self.p, self.data[:, j])
@@ -225,17 +212,11 @@ class FpMatrix:
         return [FpVector(self.p, row) for row in _kernel_raw(self.data, self.p)]
 
     def __matmul__(self, other):
-        if isinstance(other, FpVector):
-            if other.p != self.p:
-                raise ModulusMismatchError(f"p={self.p} vs p={other.p}")
-            if len(other) != self.cols:
-                raise DimensionMismatchError(f"{self.shape} @ vector of length {len(other)}")
-            return FpVector(self.p, _matmul_mod(self.data, other.data, self.p))
-        if isinstance(other, FpMatrix):
-            if other.p != self.p:
-                raise ModulusMismatchError(f"p={self.p} vs p={other.p}")
-            if other.rows != self.cols:
-                raise DimensionMismatchError(f"{self.shape} @ {other.shape}")
-            return FpMatrix(self.p, _matmul_mod(self.data, other.data, self.p))
-        return NotImplemented
-
+        """Product with a matrix or a vector, of the same type as ``other``."""
+        if not isinstance(other, _FpArray):
+            return NotImplemented
+        if other.p != self.p:
+            raise ModulusMismatchError(f"p={self.p} vs p={other.p}")
+        if other.data.shape[0] != self.cols:
+            raise DimensionMismatchError(f"{self.shape} @ {other.data.shape}")
+        return type(other)(self.p, _matmul_mod(self.data, other.data, self.p))

@@ -199,7 +199,8 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
     at the all-ones one-form, read off the incidences. Each line is deconed
     once, from the lattice the arrangement keeps; the result maps each prime
     to its results in line order. The dense definition must agree at the
-    first listed line."""
+    first listed line, and the listed lines must agree for every p dividing
+    the degree (deconing invariance)."""
     results: dict[int, list[Beta1Result]] = {p: [] for p in primes}
     for h in lines:
         aff = decone(arr, h)
@@ -210,6 +211,11 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
                 if beta1_full(alg, alg.ones()) != res:
                     raise RuntimeError(f"incidence kernel and dense definition disagree "
                                        f"for p={p} at infinity line {h}; this is a bug")
+    for p in primes:
+        if len(arr.lines) % p == 0 and len({res.value for res in results[p]}) > 1:
+            raise RuntimeError(
+                f"modular bound depends on the deconing for p={p}; this is a bug"
+            )
     return results
 
 
@@ -229,10 +235,6 @@ def report(arr: ProjArrangement) -> VanishingReport:
         min_mu = min(mus)
         witness = mus.index(min_mu)
         betas = tuple(res.value for res in by_line[p])
-        if len(set(betas)) != 1:
-            raise RuntimeError(
-                f"modular bound depends on the deconing for p={p}; this is a bug"
-            )
         beta1 = betas[witness]
         applicable = essential and min_mu <= 1
         consistent = (not applicable) or beta1 == 0
@@ -252,7 +254,7 @@ def report(arr: ProjArrangement) -> VanishingReport:
         rec = by_prime.get(order.prime_power[0]) if order.prime_power else None
         if k > 2 and min(table.column(k)) == 0:
             verdict, bound = VANISHES_BY_LIBGOBER, 0
-        elif rec is not None and essential and rec.min_mu <= 1:
+        elif rec is not None and rec.theorem16_applicable:
             verdict, bound = VANISHES_BY_THM13, rec.beta1  # necessarily 0
         elif rec is not None:
             verdict, bound = BOUNDED_BY_PS, rec.beta1

@@ -18,13 +18,13 @@ def braid():
     return catalog.braid_a3()
 
 
-def box_arrangements(count, seed):
-    """Seeded arrangements of 6..12 lines with coefficients in [-2, 2].
+def box_sources(count, seed):
+    """Seeded projective arrangements of 6..12 lines with coefficients in [-2, 2].
 
-    Line 0 is z = 0 and goes to infinity, so lines sharing a direction
-    become parallel; small coefficients force many concurrences. Samples
-    with a finite point of multiplicity above 5 or a single parallel class
-    are redrawn.
+    Line 0 is z = 0, so lines sharing a direction become parallel once it
+    goes to infinity; small coefficients force many concurrences. Samples
+    whose deconing at line 0 has a finite point of multiplicity above 5 or
+    a single parallel class are redrawn.
     """
     box = {ProjLine(t).coeffs for t in product(range(-2, 3), repeat=3) if any(t)}
     box = sorted(box - {(0, 0, 1)})
@@ -34,5 +34,10 @@ def box_arrangements(count, seed):
         arr = ProjArrangement.from_coeffs([(0, 0, 1)] + rng.sample(box, rng.randint(5, 11)))
         aff = decone(arr, 0)
         if aff.num_classes >= 2 and all(len(inc) <= 5 for inc in aff.finite_points):
-            out.append(aff)
+            out.append(arr)
     return out
+
+
+def box_arrangements(count, seed):
+    """The ``box_sources`` deconed at line 0."""
+    return [decone(arr, 0) for arr in box_sources(count, seed)]

@@ -14,7 +14,7 @@ from arrcohom.aomoto import (
     parallel_fixture,
     sum_zero_basis,
 )
-from arrcohom.geometry import decone
+from arrcohom.geometry import ProjArrangement, decone
 from arrcohom.modp import FpMatrix
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 from conftest import box_arrangements
@@ -42,10 +42,16 @@ def test_fixture_shapes():
         parallel_fixture(0)
 
 
-def test_fixtures_are_memoized():
-    assert central_fixture(5) is central_fixture(5)
-    assert parallel_fixture(4) is parallel_fixture(4)
-    assert central_fixture(5) is not central_fixture(6)
+def test_fixtures_match_coordinate_models():
+    # the literal incidences against the coordinate models they stand for:
+    # line 0 is z = 0 at infinity, then s lines through the origin, or the
+    # verticals x = 1..r followed by the transversal y = x
+    for s in range(2, 13):
+        coeffs = [(0, 0, 1), (1, 0, 0)] + [(k, -1, 0) for k in range(s - 1)]
+        assert central_fixture(s) == decone(ProjArrangement.from_coeffs(coeffs), 0), s
+    for r in range(1, 13):
+        coeffs = [(0, 0, 1)] + [(1, 0, -j) for j in range(1, r + 1)] + [(1, -1, 0)]
+        assert parallel_fixture(r) == decone(ProjArrangement.from_coeffs(coeffs), 0), r
 
 
 def test_complex_squares_to_zero():
@@ -216,7 +222,7 @@ def test_incidence_kernel_matches_definition_and_oracle(every_deconing, p):
     for aff in every_deconing:
         alg = OSAlgebra(aff, p)
         res = beta1_ones(aff, p)
-        assert res == beta1_full(alg, alg.ones()), (aff.source, aff.infinity_index)
+        assert res == beta1_full(alg, alg.ones()), aff
         assert res.value == QuotientOSOracle(aff, p).beta1([1] * aff.n)
         nonzero += res.value > 0
     assert nonzero > 0

@@ -30,3 +30,13 @@ def test_no_assert_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+@pytest.mark.parametrize("name", ["orlik_solomon", "aomoto", "degeneration"])
+def test_algebra_layers_read_only_incidences(name):
+    # everything after deconing sees incidence data, never coordinates
+    path = Path(arrcohom.__file__).parent / f"{name}.py"
+    imported = [alias.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if "geometry" in f"{node.module}.{alias.name}"]
+    assert imported == ["AffineArrangement"]

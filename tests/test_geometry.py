@@ -23,7 +23,7 @@ from arrcohom.geometry import (
 )
 from arrcohom import catalog, geometry
 from arrcohom.report import report
-from conftest import box_arrangements
+from conftest import box_sources
 
 
 @pytest.mark.parametrize(
@@ -222,7 +222,7 @@ def test_decone_roundtrip_and_counts(members):
     # generator q is source line q + (q >= h), and every class and finite
     # point is checked against the geometry of those source lines
     sources = [arr for _, arr in members]
-    sources += [aff.source for aff in box_arrangements(50, seed=2024)]
+    sources += box_sources(50, seed=2024)
     for arr in sources:
         for h in range(len(arr.lines)):
             aff = decone(arr, h)

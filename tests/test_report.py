@@ -18,7 +18,7 @@ from arrcohom.report import (
     orders,
     report,
 )
-from conftest import box_arrangements
+from conftest import box_sources
 
 # the module, not the function arrcohom.report that the package re-exports
 REPORT_MODULE = importlib.import_module("arrcohom.report")
@@ -65,7 +65,7 @@ def test_mu_table_pencil_and_generic():
 def test_mu_table_matches_mu(members):
     # the one-pass table against the per-line, per-k count of geometry.mu
     sources = [arr for _, arr in members]
-    sources += [aff.source for aff in box_arrangements(50, seed=2024)]
+    sources += box_sources(50, seed=2024)
     for arr in sources:
         table = mu_table(arr)
         assert table.ks == tuple(o.k for o in orders(len(arr.lines)))

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: ``lattice`` (intersection points and divisible-point table),
-``beta1`` (modular first cohomology rank of a deconing, read off the
-incidences, the dense definition checking the first line), ``degenerate``
+``beta1`` (modular first cohomology rank of one deconing, or of every
+deconing with ``--all-deconings``, read off the lattice's incidences in one
+batched pass, the dense definition checking the first line; with
+``--json`` stdout is one JSON document), ``degenerate``
 (degeneration matrices and the result of their construction-time
 verification), ``report`` (full vanishing report). Arrangements come
 from a file (one line per projective line, three integers, ``#``
@@ -136,12 +138,12 @@ def cmd_beta1(args) -> int:
             ],
         }
         print(canonical_json(payload))
-    else:
-        for idx, res in results:
-            print(
-                f"p = {p}, infinity = {idx}: beta1 = {res.value} "
-                f"[{res.method}] {res.certificate}"
-            )
+        return EXIT_OK
+    for idx, res in results:
+        print(
+            f"p = {p}, infinity = {idx}: beta1 = {res.value} "
+            f"[{res.method}] {res.certificate}"
+        )
     if args.all_deconings and degree % p == 0:
         # beta1_by_line has already raised if they did not
         print(f"all {degree} deconings agree: beta1 = {results[0][1].value}")

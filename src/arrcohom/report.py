@@ -13,19 +13,20 @@ divisors k >= 2 of n+1. Per order, the report records a verdict:
   the modular bound beta1 computed over F_p.
 * ``UNKNOWN``: none of the above applies.
 
-The modular bound is computed in one sweep over every deconing for every
-prime divisor p, each line deconed once and its kernel read off the
-incidences for all primes; the dense definition must agree at line 0. The
-value reported for p is the one at the witness line, a line minimizing the
-divisible-point count; the sweep doubles as a consistency check, since the
-values must agree when p divides n+1.
+The modular bound is computed in one batched pass over every deconing for
+every prime divisor p, read off the incidences of the projective lattice
+(``aomoto.beta1_sweep``) without deconing; only line 0 is deconed, for the
+dense definition, which must agree there. The value reported for p is the
+one at the witness line, a line minimizing the divisible-point count; the
+sweep doubles as a consistency check, since the values must agree when p
+divides n+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aomoto import Beta1Result, beta1_full, beta1_ones
+from .aomoto import Beta1Result, beta1_full, beta1_sweep
 from .geometry import ProjArrangement, decone, is_essential
 from .orlik_solomon import OSAlgebra
 
@@ -196,21 +197,21 @@ class VanishingReport:
 def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Result]]:
     """Modular bound at every listed infinity line, for every prime: the
     first cohomology rank of the wedge complex of the deconed arrangement
-    at the all-ones one-form, read off the incidences. Each line is deconed
-    once, from the lattice the arrangement keeps; the result maps each prime
-    to its results in line order. The dense definition must agree at the
-    first listed line, and the listed lines must agree for every p dividing
-    the degree (deconing invariance)."""
-    results: dict[int, list[Beta1Result]] = {p: [] for p in primes}
+    at the all-ones one-form. ``aomoto.beta1_sweep`` reads all of them off
+    the lattice the arrangement keeps, in one batched pass; the result maps
+    each prime to its results in line order. Only the first listed line is
+    deconed, for the dense definition, which must agree there; the listed
+    lines must agree for every p dividing the degree (deconing invariance)."""
+    lines = list(lines)
     for h in lines:
-        aff = decone(arr, h)
-        for p in primes:
-            results[p].append(res := beta1_ones(aff, p))
-            if h == lines[0]:
-                alg = OSAlgebra(aff, p)
-                if beta1_full(alg, alg.ones()) != res:
-                    raise RuntimeError(f"incidence kernel and dense definition disagree "
-                                       f"for p={p} at infinity line {h}; this is a bug")
+        arr.check_index(h)  # numpy would wrap a negative index
+    results = beta1_sweep([inc for _, inc in arr.lattice.points], lines, primes)
+    aff = decone(arr, lines[0])
+    for p in primes:
+        alg = OSAlgebra(aff, p)
+        if beta1_full(alg, alg.ones()) != results[p][0]:
+            raise RuntimeError(f"incidence kernel and dense definition disagree "
+                               f"for p={p} at infinity line {lines[0]}; this is a bug")
     for p in primes:
         if len(arr.lines) % p == 0 and len({res.value for res in results[p]}) > 1:
             raise RuntimeError(

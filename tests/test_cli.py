@@ -57,16 +57,26 @@ def test_beta1_all_deconings(capsys):
 def test_beta1_all_deconings_disagreement_exits_1(capsys, monkeypatch):
     # the module, not the function arrcohom.report that the package re-exports
     report_module = importlib.import_module("arrcohom.report")
-    honest = report_module.beta1_ones
+    honest = report_module.beta1_sweep
 
-    def skewed(aff, p):
-        res = honest(aff, p)
-        return Beta1Result(res.value + aff.infinity_index, res.method, res.certificate)
+    def skewed(points, lines, primes):
+        # shifted by the line index, so the dense check at line 0 still agrees
+        return {p: [Beta1Result(res.value + h, res.method, res.certificate)
+                    for h, res in zip(lines, results)]
+                for p, results in honest(points, lines, primes).items()}
 
-    monkeypatch.setattr(report_module, "beta1_ones", skewed)
+    monkeypatch.setattr(report_module, "beta1_sweep", skewed)
     # uncaught by main, so the console script exits 1 with a traceback
     with pytest.raises(RuntimeError, match="depends on the deconing for p=3"):
         main(["beta1", "--builtin", "braid-a3", "--prime", "3", "--all-deconings"])
+
+
+def test_beta1_all_deconings_json_is_one_document(capsys):
+    code, out, _ = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "3",
+                       "--all-deconings", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [res["beta1"] for res in payload["results"]] == [1] * 6
 
 
 def test_beta1_all_deconings_may_differ_when_p_does_not_divide_degree(capsys):
@@ -242,9 +252,13 @@ def test_exit_m_without_builtin(capsys, tmp_path):
 
 
 def test_exit_bad_infinity(capsys):
-    code, _, _ = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "3",
-                     "--infinity", "9")
-    assert code == 2
+    for infinity in ("9", "-1"):  # -1 must not wrap around to the last line
+        for command in ("beta1", "degenerate"):
+            code, out, err = run(capsys, command, "--builtin", "braid-a3", "--prime", "3",
+                                 "--infinity", infinity)
+            assert code == 2, (command, infinity)
+            assert out == ""
+            assert "out of range" in err
 
 
 def test_infinity_with_all_deconings_exits_2(capsys):

@@ -1,12 +1,16 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from arrcohom import catalog
-from arrcohom.aomoto import Beta1Result, beta1_ones
-from arrcohom.geometry import decone, is_essential, mu
-from arrcohom.orlik_solomon import QuotientOSOracle
+from arrcohom import aomoto, catalog
+from arrcohom.aomoto import Beta1Result, beta1_full, beta1_ones
+from arrcohom.geometry import BadIndexError, decone, is_essential, mu
+from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 from arrcohom.report import (
     BOUNDED_BY_PS,
     UNKNOWN,
@@ -22,6 +26,7 @@ from conftest import box_sources
 
 # the module, not the function arrcohom.report that the package re-exports
 REPORT_MODULE = importlib.import_module("arrcohom.report")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_orders_examples():
@@ -175,27 +180,31 @@ def test_small_mu_vanishing_sweep(members):
 
 def _shift_beta1(monkeypatch, shift):
     # a wrong sweep that the dense check cannot see: both paths are shifted
-    # alike, so only report's own checks are left to catch it
-    honest_ones, honest_full = REPORT_MODULE.beta1_ones, REPORT_MODULE.beta1_full
+    # alike, by a function of the infinity line, so only report's own checks
+    # are left to catch it
+    honest_sweep, honest_full = REPORT_MODULE.beta1_sweep, REPORT_MODULE.beta1_full
 
-    def shifted(res, aff):
-        return Beta1Result(res.value + shift(aff), res.method, res.certificate)
+    def shifted(res, h):
+        return Beta1Result(res.value + shift(h), res.method, res.certificate)
 
-    monkeypatch.setattr(REPORT_MODULE, "beta1_ones",
-                        lambda aff, p: shifted(honest_ones(aff, p), aff))
+    def sweep(points, lines, primes):
+        return {p: [shifted(res, h) for h, res in zip(lines, results)]
+                for p, results in honest_sweep(points, lines, primes).items()}
+
+    monkeypatch.setattr(REPORT_MODULE, "beta1_sweep", sweep)
     monkeypatch.setattr(REPORT_MODULE, "beta1_full",
-                        lambda alg, xi: shifted(honest_full(alg, xi), alg.aff))
+                        lambda alg, xi: shifted(honest_full(alg, xi), alg.aff.infinity_index))
 
 
 def test_report_rejects_deconing_dependent_bound(monkeypatch, braid):
-    _shift_beta1(monkeypatch, lambda aff: aff.infinity_index)
+    _shift_beta1(monkeypatch, lambda h: h)
     with pytest.raises(RuntimeError, match="depends on the deconing for p=2; this is a bug"):
         report(braid)
 
 
 def test_report_rejects_violated_vanishing_criterion(monkeypatch, braid):
     # the small-mu theorem applies to braid-a3 at p = 2, so beta1 must be 0
-    _shift_beta1(monkeypatch, lambda aff: 1)
+    _shift_beta1(monkeypatch, lambda h: 1)
     with pytest.raises(RuntimeError, match="vanishing criterion violated for p=2"):
         report(braid)
 
@@ -213,8 +222,9 @@ def test_report_rejects_dense_disagreement(monkeypatch, braid):
         report(braid)
 
 
-def test_report_decones_each_line_once(monkeypatch, braid):
-    # one deconing per line, shared by both prime divisors 2 and 3 of 6
+def test_report_decones_once(monkeypatch, braid):
+    # the sweep reads every line off the lattice; only the dense check at
+    # the first line, shared by both prime divisors 2 and 3 of 6, decones
     honest, lines = REPORT_MODULE.decone, []
 
     def counted(arr, h):
@@ -223,7 +233,47 @@ def test_report_decones_each_line_once(monkeypatch, braid):
 
     monkeypatch.setattr(REPORT_MODULE, "decone", counted)
     report(braid)
-    assert sorted(lines) == list(range(6))
+    assert lines == [0]
+
+
+def test_beta1_by_line_rejects_bad_index_before_sweeping(braid):
+    # only line 0 is deconed, so -1 would otherwise reach numpy and wrap
+    with pytest.raises(BadIndexError, match="out of range"):
+        beta1_by_line(braid, [3], [0, -1])
+
+
+@pytest.fixture(scope="module")
+def sources(members):
+    """Every catalog member and the 50 seeded boxes, as projective arrangements."""
+    return [arr for _, arr in members] + box_sources(50, seed=2024)
+
+
+def test_sweep_matches_dense_definition_at_every_line(sources):
+    for arr in sources:
+        by_line = beta1_by_line(arr, [2, 3, 5], range(len(arr.lines)))
+        for h in range(len(arr.lines)):
+            aff = decone(arr, h)
+            for p in (2, 3, 5):
+                alg = OSAlgebra(aff, p)
+                assert by_line[p][h] == beta1_full(alg, alg.ones()), (arr, h, p)
+
+
+@pytest.mark.parametrize("chunk", (1, 3))
+def test_sweep_does_not_depend_on_chunking(monkeypatch, sources, chunk):
+    expected = [beta1_by_line(arr, [2, 3, 5], range(len(arr.lines))) for arr in sources]
+    monkeypatch.setattr(aomoto, "_CHUNK", chunk)
+    for arr, want in zip(sources, expected):
+        assert beta1_by_line(arr, [2, 3, 5], range(len(arr.lines))) == want
+
+
+def test_report_leaves_numpy_ma_unimported():
+    # numpy.ma, pulled in lazily by np.unique, costs about 2 MB of peak RSS
+    code = ("import sys; from arrcohom import catalog, report; "
+            "report(catalog.braid_a3()); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_thm13_verdict_implies_zero_bound(members):

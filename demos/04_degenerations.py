@@ -4,17 +4,27 @@
 The total degeneration collapses each parallel class to one line of a
 central model; the directional degeneration keeps one class and pushes
 everything else onto a single transversal. Both are genuine algebra
-maps: every defining relation of the source dies in the target, which
-is re-verified here relation by relation.
+maps: every defining relation of the source dies in the target.
+``degenerations`` builds a deconing's whole family and verifies it in one
+pass; ``delta_tot`` and ``delta_dir`` build one map each, which is
+re-verified here on its own.
 """
 
-from arrcohom import OSAlgebra, class_sums, decone, delta_dir, delta_tot, verify_homomorphism
+from arrcohom import (OSAlgebra, class_sums, decone, degenerations, delta_dir, delta_tot,
+                      verify_homomorphism)
 from arrcohom.aomoto import sum_zero_basis
 from arrcohom.catalog import fig3
 
 p = 3
 aff = decone(fig3(), 0)
 print(f"five affine lines, parallel classes {aff.classes}")
+
+# the whole family: the total map and one directional map per class,
+# verified together
+family = degenerations(aff, p)
+print("verified family: " + ", ".join(
+    "total" if d.kind == "total" else f"directional {d.class_index}" for d in family
+) + f" -> {all(d.verified for d in family)}")
 
 # total degeneration: classes {0,1}, {2}, {3,4} map onto three concurrent lines
 tot = delta_tot(aff, p)

@@ -25,6 +25,7 @@ from .degeneration import (
     NoTransversalError,
     TooFewClassesError,
     class_sums,
+    degenerations,
     delta_dir,
     delta_tot,
     verify_homomorphism,

@@ -4,11 +4,12 @@ Subcommands: ``lattice`` (intersection points and divisible-point table),
 ``beta1`` (modular first cohomology rank of one deconing, or of every
 deconing with ``--all-deconings``, read off the lattice's incidences in one
 batched pass, the dense definition checking the first line; with
-``--json`` stdout is one JSON document), ``degenerate``
-(degeneration matrices and the result of their construction-time
-verification), ``report`` (full vanishing report). Arrangements come
-from a file (one line per projective line, three integers, ``#``
-comments) or from ``--builtin`` (``--m`` sizes the parametric ones).
+``--json`` stdout is one JSON document), ``degenerate`` (the deconing's
+total and directional degeneration matrices and the result of verifying
+them together as one family), ``report`` (full vanishing report).
+Arrangements come from a file (one line per projective line, three
+integers, ``#`` comments) or from ``--builtin`` (``--m`` sizes the
+parametric ones).
 
 Exit codes: 0 success, 1 an internal consistency check failed (a bug,
 reported with a traceback: e.g. deconings that disagree although p divides
@@ -25,12 +26,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .degeneration import (
-    NoTransversalError,
-    TooFewClassesError,
-    delta_dir,
-    delta_tot,
-)
+from .degeneration import degenerations
 from .geometry import (
     BadIndexError,
     DuplicateLineError,
@@ -40,7 +36,7 @@ from .geometry import (
     decone,
     is_essential,
 )
-from .modp import NotPrimeError, _check_modulus
+from .modp import NotPrimeError
 from .report import beta1_by_line, mu_table, report
 
 EXIT_OK = 0
@@ -150,43 +146,19 @@ def cmd_beta1(args) -> int:
     return EXIT_OK
 
 
-def _matrix_lines(mat) -> list[str]:
-    return ["  [" + " ".join(str(x) for x in row) + "]" for row in mat.tolist()]
-
-
 def cmd_degenerate(args) -> int:
     arr = resolve_arrangement(args)
     infinity = args.infinity if args.infinity is not None else 0
     arr.check_index(infinity)
-    # checked here too: with a single parallel class no map, and so no
-    # algebra, is ever built
-    p = _check_modulus(args.prime)
     aff = decone(arr, infinity)
-    maps = []
-    try:
-        maps.append(delta_tot(aff, p))
-    except TooFewClassesError:
-        pass
-    for a in range(aff.num_classes):
-        try:
-            maps.append(delta_dir(aff, a, p))
-        except NoTransversalError:
-            pass
+    maps = degenerations(aff, args.prime)
     if args.json:
         payload = {
-            "p": p,
+            "p": args.prime,
             "infinity": infinity,
             "classes": [list(c) for c in aff.classes],
-            "maps": [
-                {
-                    "kind": dmap.kind,
-                    "class": dmap.class_index,
-                    "deg1": dmap.deg1_matrix.tolist(),
-                    "deg2": dmap.deg2_matrix.tolist(),
-                    "verified": dmap.verified,
-                }
-                for dmap in maps
-            ],
+            "maps": [{"kind": d.kind, "class": d.class_index, "deg1": d.deg1_matrix.tolist(),
+                      "deg2": d.deg2_matrix.tolist(), "verified": d.verified} for d in maps],
         }
         print(canonical_json(payload))
         return EXIT_OK
@@ -198,12 +170,10 @@ def cmd_degenerate(args) -> int:
         tag = "total" if dmap.kind == "total" else f"directional, class {dmap.class_index}"
         print(f"{tag}: target has {dmap.target.n} lines, "
               f"degree 2 rank {dmap.target.dim2}")
-        print(" deg1 matrix:")
-        for line in _matrix_lines(dmap.deg1_matrix):
-            print(" " + line)
-        print(" deg2 matrix:")
-        for line in _matrix_lines(dmap.deg2_matrix):
-            print(" " + line)
+        for name, mat in (("deg1", dmap.deg1_matrix), ("deg2", dmap.deg2_matrix)):
+            print(f" {name} matrix:")
+            for row in mat.tolist():
+                print("   [" + " ".join(str(x) for x in row) + "]")
         print(f" verified: {dmap.verified}")
     return EXIT_OK
 

@@ -4,10 +4,10 @@ The total degeneration collapses every parallel class of an affine
 arrangement to a single line through one common point; the directional
 degeneration keeps one class and collapses everything else to a single
 transversal. Both are materialized as matrices on the degree 1 and
-degree 2 coordinates. Each map is verified once, at construction, with
-the full check of ``verify_homomorphism``; a map that fails it is a bug
-and raises, so every map ``delta_tot`` and ``delta_dir`` return carries
-``verified=True``, which the command line reports.
+degree 2 coordinates. ``delta_tot`` and ``delta_dir`` build one map each,
+unverified; ``degenerations`` builds a deconing's whole family and
+verifies it in one ``verify_homomorphism`` call. A family that fails is a
+bug and raises, so every map it returns carries ``verified=True``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ import numpy as np
 
 from .aomoto import central_fixture, parallel_fixture
 from .geometry import AffineArrangement
-from .modp import FpMatrix, FpVector
+from .modp import FpMatrix, FpVector, _check_modulus
 from .orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
 __all__ = [
     "DegenerationMap",
+    "degenerations",
     "delta_tot",
     "delta_dir",
     "induced_deg2",
@@ -64,7 +65,7 @@ class DegenerationMap:
     target: OSAlgebra
     deg1_matrix: FpMatrix  # target.n x source.n
     deg2_matrix: FpMatrix  # target.dim2 x source.dim2
-    verified: bool = False  # set once verify_homomorphism has passed
+    verified: bool = False  # set by degenerations once its check has passed
 
     def map1(self, x: FpVector) -> FpVector:
         return self.deg1_matrix @ self.source.deg1(x)
@@ -88,12 +89,10 @@ def induced_deg2(source: OSAlgebra, target: OSAlgebra, deg1_matrix: FpMatrix) ->
     return target.wedge11(_columns(deg1_matrix, anchors), _columns(deg1_matrix, lines))
 
 
-def _verified(dmap: DegenerationMap) -> DegenerationMap:
-    if not verify_homomorphism(dmap):
-        raise RuntimeError(
-            f"{dmap.kind} degeneration failed its well-definedness check; this is a bug"
-        )
-    return replace(dmap, verified=True)
+def _build(kind, class_index, aff, model, m, p) -> DegenerationMap:
+    source, target, deg1 = OSAlgebra(aff, p), OSAlgebra(model, p), FpMatrix(p, m)
+    return DegenerationMap(kind, class_index, source, target, deg1,
+                           induced_deg2(source, target, deg1))
 
 
 def delta_tot(aff: AffineArrangement, p: int) -> DegenerationMap:
@@ -101,41 +100,27 @@ def delta_tot(aff: AffineArrangement, p: int) -> DegenerationMap:
     s = aff.num_classes
     if s < 2:
         raise TooFewClassesError(f"need at least 2 parallel classes, got {s}")
-    source = OSAlgebra(aff, p)
-    target = OSAlgebra(central_fixture(s), p)
     m = np.zeros((s, aff.n), dtype=np.int64)
     for a, members in enumerate(aff.classes):
         m[a, list(members)] = 1
-    deg1 = FpMatrix(p, m)
-    return _verified(
-        DegenerationMap("total", None, source, target, deg1, induced_deg2(source, target, deg1))
-    )
+    return _build("total", None, aff, central_fixture(s), m, p)
 
 
 def delta_dir(aff: AffineArrangement, class_index: int, p: int) -> DegenerationMap:
     """Keep one parallel class, collapse all other lines to the transversal
     of the almost-parallel model."""
     if not 0 <= class_index < aff.num_classes:
-        raise BadClassError(
-            f"class {class_index} out of range 0..{aff.num_classes - 1}"
-        )
+        raise BadClassError(f"class {class_index} out of range 0..{aff.num_classes - 1}")
     members = aff.classes[class_index]
     r = len(members)
     if r == aff.n:
         raise NoTransversalError("every line is in the chosen class")
-    source = OSAlgebra(aff, p)
-    target = OSAlgebra(parallel_fixture(r), p)
     m = np.zeros((r + 1, aff.n), dtype=np.int64)
     m[r, :] = 1  # default image: the transversal
     for u, pos in enumerate(members):
         m[r, pos] = 0
         m[u, pos] = 1
-    deg1 = FpMatrix(p, m)
-    return _verified(
-        DegenerationMap(
-            "directional", class_index, source, target, deg1, induced_deg2(source, target, deg1)
-        )
-    )
+    return _build("directional", class_index, aff, parallel_fixture(r), m, p)
 
 
 def _chunks(tuples):
@@ -145,34 +130,77 @@ def _chunks(tuples):
         yield np.array(block, dtype=np.intp).T
 
 
-def verify_homomorphism(dmap: DegenerationMap, trials: int = 20) -> bool:
-    """Check that the map kills every source relation and is multiplicative.
+def _image_wedges(dmap: DegenerationMap, i, j) -> FpMatrix:
+    images = dmap.deg1_matrix
+    return dmap.target.wedge11(_columns(images, i), _columns(images, j))
+
+
+def _relations_hold(dmap: DegenerationMap) -> bool:
+    """Every parallel pair and concurrent triple of the source maps to zero."""
+    for i, j in _chunks(relation_pairs(dmap.source.aff)):
+        if not _image_wedges(dmap, i, j).is_zero():
+            return False
+    for i, j, k in _chunks(relation_triples(dmap.source.aff)):
+        alt = (_image_wedges(dmap, i, j).data - _image_wedges(dmap, i, k).data
+               + _image_wedges(dmap, j, k).data)
+        if (alt % dmap.target.p).any():
+            return False
+    return True
+
+
+def verify_homomorphism(*dmaps: DegenerationMap, trials: int = 20) -> bool:
+    """Check that every map kills every source relation and is multiplicative.
 
     Relation generators (parallel pairs and concurrent triples) are checked
-    exhaustively, then the degree 2 matrix is compared against the wedge of
-    degree 1 images on every pair and on `trials` seeded random one-form
-    pairs. Pairs and triples go through ``wedge11`` in blocks of columns.
+    exhaustively per map, then each degree 2 matrix is compared against the
+    wedge of degree 1 images on every pair and on `trials` seeded random
+    one-form pairs. The maps share their source, whose products are computed
+    once, in blocks of columns, and pushed through all degree 2 matrices at once.
     """
-    src, tgt = dmap.source, dmap.target
-    images, deg2 = dmap.deg1_matrix, dmap.deg2_matrix
+    if not dmaps:
+        raise ValueError("verify_homomorphism needs at least one map")
+    src = dmaps[0].source
+    if any(d.source.aff != src.aff or d.source.p != src.p for d in dmaps):
+        raise ValueError("maps verified together must share their source arrangement and prime")
+    if not all(_relations_hold(d) for d in dmaps):
+        return False
+    deg2 = FpMatrix(src.p, np.vstack([d.deg2_matrix.data for d in dmaps]))
+    bounds = np.cumsum([0] + [d.deg2_matrix.rows for d in dmaps])
+
+    def agrees(products: FpMatrix, image_wedges) -> bool:
+        # rows bounds[k]:bounds[k + 1] of the stacked image belong to map k
+        stacked = (deg2 @ products).data
+        return all(np.array_equal(stacked[lo:hi], image_wedges(d).data)
+                   for d, lo, hi in zip(dmaps, bounds, bounds[1:]))
+
     units = FpMatrix(src.p, np.eye(src.n, dtype=np.int64))
-
-    def image_wedges(i, j):
-        return tgt.wedge11(_columns(images, i), _columns(images, j))
-
-    for i, j in _chunks(relation_pairs(src.aff)):
-        if not image_wedges(i, j).is_zero():
-            return False
-    for i, j, k in _chunks(relation_triples(src.aff)):
-        alt = image_wedges(i, j).data - image_wedges(i, k).data + image_wedges(j, k).data
-        if (alt % tgt.p).any():
-            return False
     for i, j in _chunks(combinations(range(src.n), 2)):
-        if deg2 @ src.wedge11(_columns(units, i), _columns(units, j)) != image_wedges(i, j):
+        if not agrees(src.wedge11(_columns(units, i), _columns(units, j)),
+                      lambda d: _image_wedges(d, i, j)):
             return False
     draws = random.Random(_SEED).choices(range(src.p), k=2 * src.n * trials)
     x, y = (FpMatrix(src.p, d) for d in np.array(draws, dtype=np.int64).reshape(2, src.n, trials))
-    return deg2 @ src.wedge11(x, y) == tgt.wedge11(images @ x, images @ y)
+    return agrees(src.wedge11(x, y),
+                  lambda d: d.target.wedge11(d.deg1_matrix @ x, d.deg1_matrix @ y))
+
+
+def _describe(dmap: DegenerationMap) -> str:
+    return "total map" if dmap.kind == "total" else f"{dmap.kind} map of class {dmap.class_index}"
+
+
+def degenerations(aff: AffineArrangement, p: int) -> list[DegenerationMap]:
+    """The total map and one directional map per parallel class, verified
+    together; none with a single class, which has no transversal."""
+    p = _check_modulus(p)
+    if aff.num_classes < 2:
+        return []
+    maps = [delta_tot(aff, p)] + [delta_dir(aff, a, p) for a in range(aff.num_classes)]
+    if not verify_homomorphism(*maps):
+        failing = ", ".join(_describe(d) for d in maps if not verify_homomorphism(d))
+        raise RuntimeError(
+            f"degeneration failed its well-definedness check ({failing}); this is a bug"
+        )
+    return [replace(d, verified=True) for d in maps]
 
 
 def class_sums(dmap: DegenerationMap, eta: FpVector) -> FpVector:

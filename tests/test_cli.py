@@ -4,8 +4,10 @@ import json
 import pytest
 
 from arrcohom.aomoto import Beta1Result
-from arrcohom.catalog import BUILTINS
-from arrcohom.cli import main
+from arrcohom.catalog import BUILTINS, build_named
+from arrcohom.cli import canonical_json, main
+from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
+from arrcohom.geometry import decone
 
 
 def run(capsys, *argv):
@@ -133,6 +135,32 @@ def test_degenerate_verifies_every_map_at_a_large_point(capsys):
     maps = json.loads(out)["maps"]
     assert len(maps) == 41
     assert all(entry["verified"] for entry in maps)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "fig3", "--prime", "2"),
+    ("--builtin", "braid-a3", "--prime", "3", "--infinity", "2"),
+    ("--builtin", "near-pencil", "--m", "41", "--prime", "5", "--infinity", "40"),
+])
+def test_degenerate_json_matches_maps_built_and_verified_alone(capsys, argv):
+    # the family verified in one pass prints exactly what building and
+    # verifying each map on its own gives
+    code, out, _ = run(capsys, "degenerate", *argv, "--json")
+    assert code == 0
+    args = dict(zip(argv[::2], argv[1::2]))
+    arr = build_named(args["--builtin"], int(args["--m"]) if "--m" in args else None)
+    p, infinity = int(args["--prime"]), int(args.get("--infinity", 0))
+    aff = decone(arr, infinity)
+    alone = [delta_tot(aff, p)] + [delta_dir(aff, a, p) for a in range(aff.num_classes)]
+    expected = {
+        "p": p,
+        "infinity": infinity,
+        "classes": [list(c) for c in aff.classes],
+        "maps": [{"kind": d.kind, "class": d.class_index, "deg1": d.deg1_matrix.tolist(),
+                  "deg2": d.deg2_matrix.tolist(), "verified": verify_homomorphism(d)}
+                 for d in alone],
+    }
+    assert out == canonical_json(expected) + "\n"
 
 
 def test_report_json_round_trip(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from arrcohom.degeneration import (
     NoTransversalError,
     TooFewClassesError,
     class_sums,
+    degenerations,
     delta_dir,
     delta_tot,
     induced_deg2,
@@ -20,6 +22,8 @@ from arrcohom.degeneration import (
 from arrcohom.geometry import decone
 from arrcohom.modp import FpMatrix
 from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
+
+from conftest import box_sources
 
 
 def fig3_affine():
@@ -186,13 +190,112 @@ def test_construction_rejects_corrupted_degree2(monkeypatch):
         m[-1, -1] += 1
         return FpMatrix(target.p, m)
 
-    assert delta_tot(fig3_affine(), 3).verified
-    assert delta_dir(fig3_affine(), 1, 3).verified
+    assert all(dmap.verified for dmap in degenerations(fig3_affine(), 3))
     monkeypatch.setattr(degeneration, "induced_deg2", corrupted)
-    with pytest.raises(RuntimeError):
-        delta_tot(fig3_affine(), 3)
-    with pytest.raises(RuntimeError):
-        delta_dir(fig3_affine(), 1, 3)
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        degenerations(fig3_affine(), 3)
+
+
+def test_constructors_leave_maps_unverified():
+    assert not delta_tot(fig3_affine(), 3).verified
+    assert not delta_dir(fig3_affine(), 1, 3).verified
+
+
+def test_degenerations_single_class_has_no_maps():
+    assert degenerations(decone(catalog.pencil(4), 0), 3) == []
+
+
+def _with_deg2_flip(dmap):
+    m = np.array(dmap.deg2_matrix.tolist(), dtype=np.int64)
+    m[0, 0] += 1
+    return replace(dmap, deg2_matrix=FpMatrix(dmap.source.p, m))
+
+
+def _with_deg1_swap(dmap):
+    # swap the images of a line with a parallel partner and of a line of
+    # another class with a different image: the partner pair then maps to
+    # a nonzero wedge; deg2 is induced again from the swapped images
+    aff, m = dmap.source.aff, np.array(dmap.deg1_matrix.tolist(), dtype=np.int64)
+    cls = {q: a for a, c in enumerate(aff.classes) for q in c}
+    i, j = next((i, j) for c in aff.classes if len(c) > 1 for i in c
+                for j in range(aff.n) if cls[j] != cls[i] and (m[:, i] != m[:, j]).any())
+    m[:, [i, j]] = m[:, [j, i]]
+    deg1 = FpMatrix(dmap.source.p, m)
+    return replace(dmap, deg1_matrix=deg1,
+                   deg2_matrix=induced_deg2(dmap.source, dmap.target, deg1))
+
+
+FAMILIES = [(decone(catalog.braid_a3(), 2), 3), (fig3_affine(), 3), (fig3_affine(), 2)]
+
+
+@CHUNK_WIDTHS
+@pytest.mark.parametrize("corrupt", [_with_deg2_flip, _with_deg1_swap])
+def test_family_with_one_corrupted_map_fails(chunk, corrupt, monkeypatch):
+    monkeypatch.setattr(degeneration, "_CHUNK", chunk)
+    for aff, p in FAMILIES:
+        family = degenerations(aff, p)
+        assert verify_homomorphism(*family)
+        for k, dmap in enumerate(family):
+            bad = family[:k] + [corrupt(dmap)] + family[k + 1:]
+            assert not verify_homomorphism(*bad)
+            if corrupt is _with_deg2_flip:
+                # the line-pair stage alone catches it
+                assert not verify_homomorphism(*bad, trials=0)
+            # built with this map corrupted, the family is refused, and the
+            # message names the map that failed
+            constructor = {"total": "delta_tot", "directional": "delta_dir"}[dmap.kind]
+            honest = getattr(degeneration, constructor)
+
+            def build(*args, honest=honest, target=dmap.class_index):
+                built = honest(*args)
+                return corrupt(built) if built.class_index == target else built
+
+            name = ("total map" if dmap.kind == "total"
+                    else f"directional map of class {dmap.class_index}")
+            with monkeypatch.context() as m:
+                m.setattr(degeneration, constructor, build)
+                with pytest.raises(RuntimeError, match=rf"\({name}\); this is a bug"):
+                    degenerations(aff, p)
+
+
+def test_verify_rejects_no_maps():
+    with pytest.raises(ValueError, match="at least one map"):
+        verify_homomorphism()
+
+
+def test_verify_rejects_maps_over_different_sources():
+    aff = fig3_affine()
+    with pytest.raises(ValueError, match="share their source"):
+        verify_homomorphism(delta_tot(aff, 3), delta_tot(decone(catalog.fig3(), 1), 3))
+
+
+def test_verify_rejects_maps_over_different_primes():
+    aff = fig3_affine()
+    with pytest.raises(ValueError, match="share their source"):
+        verify_homomorphism(delta_tot(aff, 3), delta_dir(aff, 0, 5))
+
+
+def test_family_matches_maps_built_and_verified_alone(members):
+    # every map of the batched family equals the same map built alone, and
+    # the family's verdict equals every single map's verdict
+    sources = [arr for _, arr in members] + box_sources(50, seed=2024)
+    for arr in sources:
+        aff = decone(arr, 0)
+        for p in (2, 3, 5):
+            family = degenerations(aff, p)
+            alone = []
+            if aff.num_classes >= 2:
+                alone = [delta_tot(aff, p)] + [delta_dir(aff, a, p)
+                                               for a in range(aff.num_classes)]
+            assert len(family) == len(alone)
+            for batched, single in zip(family, alone):
+                assert (batched.kind, batched.class_index) == (single.kind, single.class_index)
+                assert batched.deg1_matrix == single.deg1_matrix
+                assert batched.deg2_matrix == single.deg2_matrix
+                assert batched.verified and not single.verified
+                assert verify_homomorphism(single, trials=5)
+            if family:
+                assert verify_homomorphism(*family, trials=5)
 
 
 def test_degree2_matrix_matches_wedges_exhaustively():

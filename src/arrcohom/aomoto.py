@@ -108,8 +108,9 @@ def _components(flat, owner, mult, join, through, m):
 def _sweep(points, lines, primes):
     """Yield (p, i, M, result) for every prime p and swept line ``lines[i]``:
     the count matrix of the deconing there and its ``beta1_full`` at the
-    all-ones form. Primes that pick the same sum points share one
-    propagation; only the rank of each small M is taken per line."""
+    all-ones form. Each prime has its own propagation (``report`` sweeps one
+    line for a few primes, ``beta1`` many lines for one); only the rank of
+    each small M is taken per line."""
     primes = [_check_modulus(p) for p in primes]
     mult = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
     flat = np.fromiter(chain.from_iterable(points), dtype=np.intp, count=int(mult.sum()))
@@ -117,11 +118,8 @@ def _sweep(points, lines, primes):
     starts = np.cumsum(mult) - mult
     m = int(flat.max()) + 1
     lines = np.asarray(lines, dtype=np.intp)
-    groups: dict[bytes, list[int]] = {}
     for p in primes:
-        groups.setdefault(((mult > 2) & (mult % p == 0)).tobytes(), []).append(p)
-    for key, group in groups.items():
-        sums = np.frombuffer(key, dtype=bool)
+        sums = (mult > 2) & (mult % p == 0)
         nsums = int(sums.sum())
         sinc = sums[owner]
         slines = flat[sinc]
@@ -142,12 +140,9 @@ def _sweep(points, lines, primes):
             for r in range(len(chunk)):
                 c = int(comps[r])
                 counts = np.bincount(srows * c + cols[slines, r], minlength=nsums * c)
-                counts = counts.reshape(nsums, c)[~through[sums, r]]
-                for p in group:
-                    mat = counts % p
-                    dim_ker = c - len(_rref_raw(mat, p)[1])
-                    yield p, lo + r, mat, _full_result(m - 1, int(dim2[r]), 1,
-                                                       m - 1 - dim_ker)
+                mat = counts.reshape(nsums, c)[~through[sums, r]] % p
+                dim_ker = c - len(_rref_raw(mat, p)[1])
+                yield p, lo + r, mat, _full_result(m - 1, int(dim2[r]), 1, m - 1 - dim_ker)
 
 
 def beta1_sweep(points, lines, primes) -> dict[int, list[Beta1Result]]:

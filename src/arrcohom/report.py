@@ -13,13 +13,12 @@ divisors k >= 2 of n+1. Per order, the report records a verdict:
   the modular bound beta1 computed over F_p.
 * ``UNKNOWN``: none of the above applies.
 
-The modular bound is computed in one batched pass over every deconing for
-every prime divisor p, read off the incidences of the projective lattice
-(``aomoto.beta1_sweep``) without deconing; only line 0 is deconed, for the
-dense definition, which must agree there. The value reported for p is the
-one at the witness line, a line minimizing the divisible-point count; the
-sweep doubles as a consistency check, since the values must agree when p
-divides n+1.
+The modular bound for every prime divisor p is read at line 0 off the
+incidences of the projective lattice (``aomoto.beta1_sweep``), in one pass
+for all of them; line 0 is also deconed, for the dense definition, which
+must agree there. Since p divides n+1, the all-ones form is projective and
+that value is the bound at every deconing (``beta1 --all-deconings`` shows
+all of them and checks that they agree).
 """
 
 from __future__ import annotations
@@ -200,8 +199,7 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
     at the all-ones one-form. ``aomoto.beta1_sweep`` reads all of them off
     the lattice the arrangement keeps, in one batched pass; the result maps
     each prime to its results in line order. Only the first listed line is
-    deconed, for the dense definition, which must agree there; the listed
-    lines must agree for every p dividing the degree (deconing invariance)."""
+    deconed, for the dense definition, which must agree there."""
     lines = list(lines)
     for h in lines:
         arr.check_index(h)  # numpy would wrap a negative index
@@ -212,11 +210,6 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
         if beta1_full(alg, alg.ones()) != results[p][0]:
             raise RuntimeError(f"incidence kernel and dense definition disagree "
                                f"for p={p} at infinity line {lines[0]}; this is a bug")
-    for p in primes:
-        if len(arr.lines) % p == 0 and len({res.value for res in results[p]}) > 1:
-            raise RuntimeError(
-                f"modular bound depends on the deconing for p={p}; this is a bug"
-            )
     return results
 
 
@@ -229,14 +222,14 @@ def report(arr: ProjArrangement) -> VanishingReport:
 
     primes = [o.prime_power[0] for o in all_orders
               if o.prime_power is not None and o.prime_power[1] == 1]
-    by_line = beta1_by_line(arr, primes, range(degree))
+    # every prime here divides the degree, so line 0 gives the bound at every line
+    at_line0 = beta1_by_line(arr, primes, [0])
     prime_records = []
     for p in primes:
         mus = table.column(p)
         min_mu = min(mus)
         witness = mus.index(min_mu)
-        betas = tuple(res.value for res in by_line[p])
-        beta1 = betas[witness]
+        beta1 = at_line0[p][0].value
         applicable = essential and min_mu <= 1
         consistent = (not applicable) or beta1 == 0
         if not consistent:
@@ -245,7 +238,7 @@ def report(arr: ProjArrangement) -> VanishingReport:
                 f"beta1={beta1}); this is a bug"
             )
         prime_records.append(
-            PrimeRecord(p, min_mu, witness, beta1, betas, applicable, consistent)
+            PrimeRecord(p, min_mu, witness, beta1, (beta1,) * degree, applicable, consistent)
         )
     by_prime = {rec.p: rec for rec in prime_records}
 

@@ -1,5 +1,9 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from arrcohom.catalog import BUILTINS, build_named
 from arrcohom.cli import canonical_json, main
 from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
 from arrcohom.geometry import decone
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -71,6 +77,20 @@ def test_beta1_all_deconings_disagreement_exits_1(capsys, monkeypatch):
     # uncaught by main, so the console script exits 1 with a traceback
     with pytest.raises(RuntimeError, match="depends on the deconing for p=3"):
         main(["beta1", "--builtin", "braid-a3", "--prime", "3", "--all-deconings"])
+
+
+def test_beta1_all_deconings_json_disagreement_raises(capsys, monkeypatch):
+    # the check runs before the output modes split, so no document is printed
+    report_module = importlib.import_module("arrcohom.report")
+    honest = report_module.beta1_sweep
+    monkeypatch.setattr(report_module, "beta1_sweep", lambda points, lines, primes: {
+        p: [Beta1Result(res.value + h, res.method, res.certificate)
+            for h, res in zip(lines, results)]
+        for p, results in honest(points, lines, primes).items()})
+    with pytest.raises(RuntimeError, match="modular bound depends on the deconing for p=3; "
+                                           "this is a bug"):
+        main(["beta1", "--builtin", "braid-a3", "--prime", "3", "--all-deconings", "--json"])
+    assert capsys.readouterr().out == ""
 
 
 def test_beta1_all_deconings_json_is_one_document(capsys):
@@ -302,3 +322,18 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["beta1", "--builtin", "braid-a3"])  # --prime is required
     assert exc.value.code == 2
+
+
+def test_closed_stdout_exits_141_quietly():
+    # about 350 KB of text, more than a pipe buffer holds, so the writes
+    # after the reader has gone always hit the closed pipe
+    code = "import sys; from arrcohom.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-c", code, "lattice", "--builtin", "generic",
+                             "--m", "120"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"120 lines, 7140 intersection points\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

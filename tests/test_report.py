@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrcohom import aomoto, catalog
 from arrcohom.aomoto import Beta1Result, beta1_full, beta1_ones
-from arrcohom.geometry import BadIndexError, decone, is_essential, mu
+from arrcohom.geometry import BadIndexError, ProjArrangement, ProjLine, decone, is_essential, mu
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 from arrcohom.report import (
     BOUNDED_BY_PS,
@@ -196,12 +199,6 @@ def _shift_beta1(monkeypatch, shift):
                         lambda alg, xi: shifted(honest_full(alg, xi), alg.aff.infinity_index))
 
 
-def test_report_rejects_deconing_dependent_bound(monkeypatch, braid):
-    _shift_beta1(monkeypatch, lambda h: h)
-    with pytest.raises(RuntimeError, match="depends on the deconing for p=2; this is a bug"):
-        report(braid)
-
-
 def test_report_rejects_violated_vanishing_criterion(monkeypatch, braid):
     # the small-mu theorem applies to braid-a3 at p = 2, so beta1 must be 0
     _shift_beta1(monkeypatch, lambda h: 1)
@@ -236,6 +233,22 @@ def test_report_decones_once(monkeypatch, braid):
     assert lines == [0]
 
 
+def test_report_sweeps_line_0_once(monkeypatch, braid):
+    # every prime of a report divides the degree, so line 0 gives the bound
+    # at every line: one sweep of one line for both primes 2 and 3
+    honest, calls = REPORT_MODULE.beta1_sweep, []
+
+    def spy(points, lines, primes):
+        calls.append((list(lines), list(primes)))
+        return honest(points, lines, primes)
+
+    monkeypatch.setattr(REPORT_MODULE, "beta1_sweep", spy)
+    rep = report(braid)
+    assert calls == [([0], [2, 3])]
+    for rec in rep.primes:
+        assert rec.beta1_all_deconings == (rec.beta1,) * rep.degree
+
+
 def test_beta1_by_line_rejects_bad_index_before_sweeping(braid):
     # only line 0 is deconed, so -1 would otherwise reach numpy and wrap
     with pytest.raises(BadIndexError, match="out of range"):
@@ -264,6 +277,59 @@ def test_sweep_does_not_depend_on_chunking(monkeypatch, sources, chunk):
     monkeypatch.setattr(aomoto, "_CHUNK", chunk)
     for arr, want in zip(sources, expected):
         assert beta1_by_line(arr, [2, 3, 5], range(len(arr.lines))) == want
+
+
+def _assert_one_bound(arr, h):
+    """For every prime p <= 13 dividing the degree, the bound ``report``
+    reads at line 0 equals the sweep at every line, and the dense
+    definition and the quotient oracle at line h."""
+    m = len(arr.lines)
+    primes = [p for p in (2, 3, 5, 7, 11, 13) if m % p == 0]
+    rep = report(arr)
+    by_line = beta1_by_line(arr, primes, range(m))
+    aff = decone(arr, h)
+    for p in primes:
+        alg = OSAlgebra(aff, p)
+        values = {rep.prime_record(p).beta1, beta1_full(alg, alg.ones()).value,
+                  QuotientOSOracle(aff, p).beta1([1] * aff.n)}
+        values.update(res.value for res in by_line[p])
+        assert len(values) == 1, (arr, h, p, values)
+
+
+def test_report_bound_is_every_deconings_bound(sources):
+    # the catalog (braid-a3, Pappus, pencils) and the seeded boxes give
+    # nonzero bounds as well as zero ones
+    for i, arr in enumerate(sources):
+        _assert_one_bound(arr, i % len(arr.lines))
+
+
+_BOX = sorted({ProjLine(t).coeffs for t in product(range(-3, 4), repeat=3) if any(t)})
+
+
+@st.composite
+def forced_boxes(draw):
+    """6..14 distinct lines with coefficients in [-3, 3]: z = 0, a pencil
+    through a drawn affine point, lines sharing a drawn direction (parallel
+    once z goes to infinity), and free lines."""
+    x0, y0 = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+    through = [c for c in _BOX if c[0] * x0 + c[1] * y0 + c[2] == 0]
+    a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]))
+    parallel = [ProjLine((a, b, c)).coeffs for c in range(-3, 4)]
+    lines = {(0, 0, 1)}
+    lines.update(draw(st.lists(st.sampled_from(through), min_size=3, max_size=5, unique=True)))
+    lines.update(draw(st.lists(st.sampled_from(parallel), min_size=2, max_size=4,
+                          unique=True)))
+    lines.update(draw(st.lists(st.sampled_from(_BOX), max_size=9)))
+    lines = sorted(lines)
+    assume(6 <= len(lines) <= 14)
+    return ProjArrangement.from_coeffs(draw(st.permutations(lines)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_report_bound_is_every_deconings_bound_on_forced_boxes(data):
+    arr = data.draw(forced_boxes())
+    _assert_one_bound(arr, data.draw(st.integers(0, len(arr.lines) - 1)))
 
 
 def test_report_leaves_numpy_ma_unimported():

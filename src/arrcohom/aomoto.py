@@ -3,8 +3,9 @@ cohomology rank, plus the two model arrangements every degeneration
 targets (a pencil of s lines through one point, and r parallels crossed
 by one transversal), written as incidences. ``beta1_sweep`` reads the
 kernel of d1 at the all-ones form off the incidences (Falk's resonance
-over F_p), for every deconing of a projective lattice in one batched
-numpy pass; ``beta1_ones`` is the same kernel on one affine arrangement.
+over F_p), one listed deconing of a projective lattice at a time, over
+incidence arrays built once; ``beta1_ones`` is the same kernel on one
+affine arrangement.
 The dense definition ``beta1_full`` is their independent check."""
 
 from __future__ import annotations
@@ -73,91 +74,70 @@ def beta1_full(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     return _full_result(alg.n, alg.dim2, rank_d0, _d1(alg, xi).rank())
 
 
-# swept lines per batch: bounds the (lines x incidences) label arrays, which
-# for one batch of all 240 lines of a generic arrangement would take 110 MB
-_CHUNK = 32
-
-
-def _components(flat, owner, mult, join, through, m):
-    """Each line's smallest component-mate, one column per swept line h.
-    Lines are joined through the ``join`` points not on h (so h is alone);
-    min-label propagation over the (incidence -> point, point -> line)
-    edges, with pointer jumping, runs on every column at once."""
-    lab = np.repeat(np.arange(m)[:, None], through.shape[1], axis=1)
-    jinc = join[owner]
-    jlines = flat[jinc]
-    jstarts = np.cumsum(mult[join]) - mult[join]
-    # line-major gather: each line's join points, then the line's own label
-    # (rows past the join points), so no line has an empty segment
-    keys = np.concatenate([jlines, np.arange(m)])
-    rows = np.concatenate([(np.cumsum(join) - 1)[owner[jinc]], len(jstarts) + np.arange(m)])
-    rows = rows[np.argsort(keys, kind="stable")]
-    counts = np.bincount(keys, minlength=m)
-    lstarts = np.cumsum(counts) - counts
-    blocked = through[join]
-    while True:
-        at_point = np.minimum.reduceat(lab[jlines], jstarts)
-        at_point[blocked] = m
-        new = np.minimum.reduceat(np.vstack([at_point, lab])[rows], lstarts)
-        new = np.take_along_axis(new, new, axis=0)
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
+def _components(flat, owner, mult, join, m):
+    """Each line's smallest component-mate, lines joined through the
+    ``join`` points: every round each join point takes the least label of
+    its lines, each line the least label of its points, then pointer
+    jumping; a fixed point labels each component by its smallest line."""
+    if not join.any():
+        return np.arange(m)  # reduceat needs at least one segment
+    jlines = flat[join[owner]]
+    jmult = mult[join]
+    jstarts = np.cumsum(jmult) - jmult
+    lab, old = np.arange(m), None
+    while not np.array_equal(lab, old):
+        old = lab
+        lab = old.copy()
+        np.minimum.at(lab, jlines, np.repeat(np.minimum.reduceat(old[jlines], jstarts), jmult))
+        lab = lab[lab]
+    return lab
 
 
 def _sweep(points, lines, primes):
-    """Yield (p, i, M, result) for every prime p and swept line ``lines[i]``:
-    the count matrix of the deconing there and its ``beta1_full`` at the
-    all-ones form. Each prime has its own propagation (``report`` sweeps one
-    line for a few primes, ``beta1`` many lines for one); only the rank of
-    each small M is taken per line."""
+    """Yield (p, M, result) for every listed line h and then every prime p,
+    in that order: the count matrix of the deconing at h and its
+    ``beta1_full`` at the all-ones form. The points on h are at infinity,
+    so h meets no finite point and is a component of its own, which M
+    leaves out; only the rank of each small M is taken per line."""
     primes = [_check_modulus(p) for p in primes]
     mult = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
     flat = np.fromiter(chain.from_iterable(points), dtype=np.intp, count=int(mult.sum()))
     owner = np.repeat(np.arange(len(points)), mult)
-    starts = np.cumsum(mult) - mult
     m = int(flat.max()) + 1
-    lines = np.asarray(lines, dtype=np.intp)
-    for p in primes:
-        sums = (mult > 2) & (mult % p == 0)
-        nsums = int(sums.sum())
-        sinc = sums[owner]
-        slines = flat[sinc]
-        srows = (np.cumsum(sums) - 1)[owner[sinc]]
-        for lo in range(0, len(lines), _CHUNK):
-            chunk = lines[lo:lo + _CHUNK]
-            # (points x swept lines) arrays throughout: reduceat runs down
-            # contiguous rows
-            through = np.logical_or.reduceat(flat[:, None] == chunk, starts)
-            dim2 = (mult - 1) @ ~through
-            lab = _components(flat, owner, mult, ~sums, through, m)
-            roots = lab == np.arange(m)[:, None]
-            roots[chunk, np.arange(len(chunk))] = False  # h's own component
-            comps = roots.sum(axis=0)
-            # h lies only on the sum points through h, whose rows are dropped
-            # below, so it does not matter which column its entries land in
-            cols = np.take_along_axis(np.cumsum(roots, axis=0) - 1, lab, axis=0).clip(0)
-            for r in range(len(chunk)):
-                c = int(comps[r])
-                counts = np.bincount(srows * c + cols[slines, r], minlength=nsums * c)
-                mat = counts.reshape(nsums, c)[~through[sums, r]] % p
-                dim_ker = c - len(_rref_raw(mat, p)[1])
-                yield p, lo + r, mat, _full_result(m - 1, int(dim2[r]), 1, m - 1 - dim_ker)
+    for h in lines:
+        if not 0 <= h < m:
+            raise IndexError(f"line index {h} out of range 0..{m - 1}")
+        finite = np.ones(len(points), dtype=bool)
+        finite[owner[flat == h]] = False
+        dim2 = int((mult[finite] - 1).sum())
+        for p in primes:
+            sums = (mult > 2) & (mult % p == 0)
+            lab = _components(flat, owner, mult, finite & ~sums, m)
+            roots = lab == np.arange(m)
+            roots[h] = False
+            rows = finite & sums
+            inc = rows[owner]
+            nrows, c = int(rows.sum()), int(roots.sum())
+            cells = (np.cumsum(rows) - 1)[owner[inc]] * c + (np.cumsum(roots) - 1)[lab[flat[inc]]]
+            mat = np.bincount(cells, minlength=nrows * c).reshape(nrows, c) % p
+            dim_ker = c - len(_rref_raw(mat, p)[1])
+            yield p, mat, _full_result(m - 1, dim2, 1, m - 1 - dim_ker)
 
 
 def beta1_sweep(points, lines, primes) -> dict[int, list[Beta1Result]]:
     """``beta1_full`` at the all-ones form of the deconing at each listed
-    line, for every prime, in one pass over the incidences of a projective
-    lattice (``points``: sorted tuples of line indices, every two lines
-    sharing exactly one). At deconing h, kernel forms of d1 are constant
-    along each point X not on h with m_X = 2 or p not dividing m_X, so their
-    lines merge into components; every other point not on h is a row of a
-    small count matrix M, holding its lines' counts per component, since
-    kernel forms sum to zero there. ker d1 is M's null space. Maps each
-    prime to its results in line order."""
-    results = {p: [None] * len(lines) for p in primes}
-    for p, i, _, res in _sweep(points, lines, primes):
-        results[p][i] = res
+    line, for every prime, read off the incidences of a projective lattice
+    (``points``: sorted tuples of line indices, every two lines sharing
+    exactly one), one line at a time. At deconing h, kernel forms of d1
+    are constant along each point X not on h with m_X = 2 or p not
+    dividing m_X, so their lines merge into components; every other point
+    not on h is a row of a small count matrix M, holding its lines' counts
+    per component, since kernel forms sum to zero there. ker d1 is M's
+    null space. Maps each prime to its results in the listed order; a
+    line index outside 0..m-1 raises ``IndexError``."""
+    results = {p: [] for p in primes}
+    for p, _, res in _sweep(points, lines, list(results)):  # each prime once
+        results[p].append(res)
     return results
 
 
@@ -170,13 +150,13 @@ def _closure(aff: AffineArrangement) -> list[tuple[int, ...]]:
 def count_matrix(aff: AffineArrangement, p: int) -> np.ndarray:
     """The count matrix M of ``beta1_sweep`` for one affine arrangement:
     rows its finite sum points, columns its components by smallest line."""
-    ((_, _, mat, _),) = _sweep(_closure(aff), [aff.n], [p])
+    ((_, mat, _),) = _sweep(_closure(aff), [aff.n], [p])
     return mat
 
 
 def beta1_ones(aff: AffineArrangement, p: int) -> Beta1Result:
     """``beta1_full`` at the all-ones form: ker d1 is ``count_matrix``'s null space."""
-    ((_, _, _, res),) = _sweep(_closure(aff), [aff.n], [p])
+    ((_, _, res),) = _sweep(_closure(aff), [aff.n], [p])
     return res
 
 

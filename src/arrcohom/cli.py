@@ -2,8 +2,8 @@
 
 Subcommands: ``lattice`` (intersection points and divisible-point table),
 ``beta1`` (modular first cohomology rank of one deconing, or of every
-deconing with ``--all-deconings``, read off the lattice's incidences in one
-batched pass, the dense definition checking the first line; when p divides
+deconing with ``--all-deconings``, read off the lattice's incidences one
+line at a time, the dense definition checking the first line; when p divides
 the degree, the only check that all deconings agree; with ``--json`` stdout
 is one JSON document), ``degenerate`` (the deconing's total and
 directional degeneration matrices and the result of verifying them

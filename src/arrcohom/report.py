@@ -14,7 +14,7 @@ divisors k >= 2 of n+1. Per order, the report records a verdict:
 * ``UNKNOWN``: none of the above applies.
 
 The modular bound for every prime divisor p is read at line 0 off the
-incidences of the projective lattice (``aomoto.beta1_sweep``), in one pass
+incidences of the projective lattice (``aomoto.beta1_sweep``), in one call
 for all of them; line 0 is also deconed, for the dense definition, which
 must agree there. Since p divides n+1, the all-ones form is projective and
 that value is the bound at every deconing (``beta1 --all-deconings`` shows
@@ -196,8 +196,8 @@ class VanishingReport:
 def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Result]]:
     """Modular bound at every listed infinity line, for every prime: the
     first cohomology rank of the wedge complex of the deconed arrangement
-    at the all-ones one-form. ``aomoto.beta1_sweep`` reads all of them off
-    the lattice the arrangement keeps, in one batched pass; the result maps
+    at the all-ones one-form. ``aomoto.beta1_sweep`` reads them off the
+    lattice the arrangement keeps, one line at a time; the result maps
     each prime to its results in line order. Only the first listed line is
     deconed, for the dense definition, which must agree there."""
     lines = list(lines)

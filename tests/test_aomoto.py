@@ -10,6 +10,7 @@ from arrcohom.aomoto import (
     beta1_full,
     beta1_ones,
     beta1_restricted,
+    beta1_sweep,
     central_fixture,
     parallel_fixture,
     sum_zero_basis,
@@ -183,6 +184,14 @@ def test_deconing_invariance_braid():
             alg = OSAlgebra(decone(arr, infinity), p)
             values.add(beta1_full(alg, alg.ones()).value)
         assert len(values) == 1
+
+
+@pytest.mark.parametrize("h", (-1, 6))
+def test_sweep_rejects_line_index_out_of_range(braid, h):
+    # -1 must not wrap around to the last line
+    points = [inc for _, inc in braid.lattice.points]
+    with pytest.raises(IndexError, match=f"line index {h} out of range 0..5"):
+        beta1_sweep(points, [h], [3])
 
 
 def test_pencil_deconing_degenerate_path():

@@ -19,7 +19,7 @@ from arrcohom.degeneration import (
     induced_deg2,
     verify_homomorphism,
 )
-from arrcohom.geometry import decone
+from arrcohom.geometry import AffineArrangement, decone
 from arrcohom.modp import FpMatrix
 from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
@@ -164,6 +164,19 @@ def test_broken_triple_relation_fails_verification(chunk, monkeypatch):
         "directional", None, source, target, deg1, induced_deg2(source, target, deg1)
     )
     assert not verify_homomorphism(bad)
+
+
+def test_parallel_pair_relation_fails_where_products_agree():
+    # the source's products are those of three generic lines, but its
+    # arrangement makes lines 0 and 1 parallel: the identity onto the
+    # generic lines agrees with every product and breaks only the relation
+    generic3 = AffineArrangement(3, 0, ((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)))
+    src = OSAlgebra(generic3, 3)
+    src.aff = AffineArrangement(3, 0, ((0, 1), (2,)), ((0, 2), (1, 2)))
+    tgt = OSAlgebra(generic3, 3)
+    deg1 = FpMatrix(3, np.eye(3, dtype=np.int64))
+    dmap = DegenerationMap("total", None, src, tgt, deg1, induced_deg2(src, tgt, deg1))
+    assert not verify_homomorphism(dmap)
 
 
 @CHUNK_WIDTHS

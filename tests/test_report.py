@@ -271,12 +271,16 @@ def test_sweep_matches_dense_definition_at_every_line(sources):
                 assert by_line[p][h] == beta1_full(alg, alg.ones()), (arr, h, p)
 
 
-@pytest.mark.parametrize("chunk", (1, 3))
-def test_sweep_does_not_depend_on_chunking(monkeypatch, sources, chunk):
-    expected = [beta1_by_line(arr, [2, 3, 5], range(len(arr.lines))) for arr in sources]
-    monkeypatch.setattr(aomoto, "_CHUNK", chunk)
-    for arr, want in zip(sources, expected):
-        assert beta1_by_line(arr, [2, 3, 5], range(len(arr.lines))) == want
+def test_sweep_follows_the_listed_order(sources):
+    # lines listed backwards, then line 0 again: each result is the forward
+    # sweep's at that line, in the listed order
+    for arr in sources:
+        points = [inc for _, inc in arr.lattice.points]
+        listed = list(reversed(range(len(arr.lines)))) + [0]
+        forward = aomoto.beta1_sweep(points, range(len(arr.lines)), [2, 3, 5])
+        swept = aomoto.beta1_sweep(points, listed, [2, 3, 5])
+        for p in (2, 3, 5):
+            assert swept[p] == [forward[p][h] for h in listed], (arr, p)
 
 
 def _assert_one_bound(arr, h):

@@ -104,6 +104,7 @@ def _sweep(points, lines, primes):
     flat = np.fromiter(chain.from_iterable(points), dtype=np.intp, count=int(mult.sum()))
     owner = np.repeat(np.arange(len(points)), mult)
     m = int(flat.max()) + 1
+    sums = {p: (mult > 2) & (mult % p == 0) for p in primes}
     for h in lines:
         if not 0 <= h < m:
             raise IndexError(f"line index {h} out of range 0..{m - 1}")
@@ -111,11 +112,10 @@ def _sweep(points, lines, primes):
         finite[owner[flat == h]] = False
         dim2 = int((mult[finite] - 1).sum())
         for p in primes:
-            sums = (mult > 2) & (mult % p == 0)
-            lab = _components(flat, owner, mult, finite & ~sums, m)
+            lab = _components(flat, owner, mult, finite & ~sums[p], m)
             roots = lab == np.arange(m)
             roots[h] = False
-            rows = finite & sums
+            rows = finite & sums[p]
             inc = rows[owner]
             nrows, c = int(rows.sum()), int(roots.sum())
             cells = (np.cumsum(rows) - 1)[owner[inc]] * c + (np.cumsum(roots) - 1)[lab[flat[inc]]]

@@ -5,9 +5,10 @@ arrangement to a single line through one common point; the directional
 degeneration keeps one class and collapses everything else to a single
 transversal. Both are materialized as matrices on the degree 1 and
 degree 2 coordinates. ``delta_tot`` and ``delta_dir`` build one map each,
-unverified; ``degenerations`` builds a deconing's whole family and
-verifies it in one ``verify_homomorphism`` call. A family that fails is a
-bug and raises, so every map it returns carries ``verified=True``.
+unverified; ``degenerations`` builds a deconing's whole family over one
+shared source algebra and verifies it in one ``verify_homomorphism``
+call. A family that fails is a bug and raises, so every map it returns
+carries ``verified=True``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .aomoto import central_fixture, parallel_fixture
 from .geometry import AffineArrangement
-from .modp import FpMatrix, FpVector, _check_modulus
+from .modp import FpMatrix, FpVector, ModulusMismatchError, _check_modulus
 from .orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
 __all__ = [
@@ -89,26 +90,43 @@ def induced_deg2(source: OSAlgebra, target: OSAlgebra, deg1_matrix: FpMatrix) ->
     return target.wedge11(_columns(deg1_matrix, anchors), _columns(deg1_matrix, lines))
 
 
-def _build(kind, class_index, aff, model, m, p) -> DegenerationMap:
-    source, target, deg1 = OSAlgebra(aff, p), OSAlgebra(model, p), FpMatrix(p, m)
+def _source(aff, p: int) -> OSAlgebra:
+    """The source algebra of a map over ``aff``: ``aff`` itself when it is
+    already an ``OSAlgebra`` over F_p, so that maps built from it share it."""
+    if not isinstance(aff, OSAlgebra):
+        return OSAlgebra(aff, p)
+    if aff.p != _check_modulus(p):
+        raise ModulusMismatchError(f"source algebra over p={aff.p}, map over p={p}")
+    return aff
+
+
+def _build(kind, class_index, source, model, m) -> DegenerationMap:
+    target, deg1 = OSAlgebra(model, source.p), FpMatrix(source.p, m)
     return DegenerationMap(kind, class_index, source, target, deg1,
                            induced_deg2(source, target, deg1))
 
 
-def delta_tot(aff: AffineArrangement, p: int) -> DegenerationMap:
-    """Collapse every parallel class onto one line of the central model."""
+def delta_tot(aff: AffineArrangement | OSAlgebra, p: int) -> DegenerationMap:
+    """Collapse every parallel class onto one line of the central model.
+    ``aff`` may be given as its ``OSAlgebra`` over F_p, which the map then
+    shares as its source."""
+    source = _source(aff, p)
+    aff = source.aff
     s = aff.num_classes
     if s < 2:
         raise TooFewClassesError(f"need at least 2 parallel classes, got {s}")
     m = np.zeros((s, aff.n), dtype=np.int64)
     for a, members in enumerate(aff.classes):
         m[a, list(members)] = 1
-    return _build("total", None, aff, central_fixture(s), m, p)
+    return _build("total", None, source, central_fixture(s), m)
 
 
-def delta_dir(aff: AffineArrangement, class_index: int, p: int) -> DegenerationMap:
+def delta_dir(aff: AffineArrangement | OSAlgebra, class_index: int, p: int) -> DegenerationMap:
     """Keep one parallel class, collapse all other lines to the transversal
-    of the almost-parallel model."""
+    of the almost-parallel model. ``aff`` may be given as its ``OSAlgebra``
+    over F_p, which the map then shares as its source."""
+    source = _source(aff, p)
+    aff = source.aff
     if not 0 <= class_index < aff.num_classes:
         raise BadClassError(f"class {class_index} out of range 0..{aff.num_classes - 1}")
     members = aff.classes[class_index]
@@ -120,7 +138,7 @@ def delta_dir(aff: AffineArrangement, class_index: int, p: int) -> DegenerationM
     for u, pos in enumerate(members):
         m[r, pos] = 0
         m[u, pos] = 1
-    return _build("directional", class_index, aff, parallel_fixture(r), m, p)
+    return _build("directional", class_index, source, parallel_fixture(r), m)
 
 
 def _chunks(tuples):
@@ -194,7 +212,8 @@ def degenerations(aff: AffineArrangement, p: int) -> list[DegenerationMap]:
     p = _check_modulus(p)
     if aff.num_classes < 2:
         return []
-    maps = [delta_tot(aff, p)] + [delta_dir(aff, a, p) for a in range(aff.num_classes)]
+    source = OSAlgebra(aff, p)  # one source algebra for the whole family
+    maps = [delta_tot(source, p)] + [delta_dir(source, a, p) for a in range(aff.num_classes)]
     if not verify_homomorphism(*maps):
         failing = ", ".join(_describe(d) for d in maps if not verify_homomorphism(d))
         raise RuntimeError(

@@ -4,6 +4,12 @@ Matrices hold numpy int64 residues. The modulus must be prime and below
 2**31 so that any product of two residues stays inside int64; matrix
 products additionally fall back to exact object arithmetic whenever an
 accumulated dot product could overflow.
+
+One elimination routine, ``_rref_raw``, serves every rank, kernel and
+quotient. Its matrices are stored densely, but each pivot at row r and
+column c touches only the rows with a nonzero entry in column c and only
+the columns from c on, so a sparse matrix such as d1 costs in proportion
+to its fill-in, not to its full size.
 """
 
 from __future__ import annotations
@@ -60,29 +66,36 @@ def _check_modulus(p) -> int:
 
 
 def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form with the fixed pivot rule: scan columns
-    left to right, take the topmost nonzero entry."""
-    a = a.copy()
+    """Reduced row echelon form of ``a`` mod p, and its pivot columns, with
+    the fixed pivot rule: scan columns left to right, take the topmost
+    nonzero entry. The entries are reduced mod p on entry; ``a`` itself is
+    left unchanged.
+
+    A pivot at row r and column c is normalized on columns c onward, then
+    cleared from every other row with a nonzero entry in column c, above
+    and below r, on columns c onward only: the pivot row is zero left of c,
+    and a row with a zero entry in column c would subtract zero."""
+    a = a % p
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        hit = np.flatnonzero(a[:, c])
+        below = hit[hit >= r]
+        if below.size == 0:
             continue
-        top = r + int(nz[0])
+        top = int(below[0])
         if top != r:
             a[[r, top]] = a[[top, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        factors = a[:, c].copy()
-        factors[r] = 0
-        # in place: one matrix-sized temporary per pivot, so the allocator
-        # does not hand pages back and fault them in again on every pivot
-        a -= np.outer(factors, a[r])
-        a %= p
+        # rows to clear: the swap moved top's nonzero entry to r and r's zero to top
+        hit = hit[hit != top]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        blk = a[hit, c:]
+        blk -= np.outer(blk[:, 0], a[r, c:])
+        blk %= p
+        a[hit, c:] = blk
         pivots.append(c)
         r += 1
     return a, pivots
@@ -92,12 +105,11 @@ def _kernel_raw(a: np.ndarray, p: int) -> np.ndarray:
     """Right null space basis, one row per free column of the rref."""
     rref, pivots = _rref_raw(a, p)
     cols = a.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, c in enumerate(pivots):
-            basis[k, c] = (-int(rref[r, f])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-rref[:len(pivots), free].T) % p
     return basis
 
 

@@ -20,7 +20,7 @@ from arrcohom.degeneration import (
     verify_homomorphism,
 )
 from arrcohom.geometry import AffineArrangement, decone
-from arrcohom.modp import FpMatrix
+from arrcohom.modp import FpMatrix, ModulusMismatchError
 from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
 from conftest import box_sources
@@ -269,6 +269,34 @@ def test_family_with_one_corrupted_map_fails(chunk, corrupt, monkeypatch):
                 m.setattr(degeneration, constructor, build)
                 with pytest.raises(RuntimeError, match=rf"\({name}\); this is a bug"):
                     degenerations(aff, p)
+
+
+@pytest.mark.parametrize("aff, p", [(fig3_affine(), 3), (decone(catalog.braid_a3(), 2), 3)])
+def test_family_shares_one_source_algebra(aff, p, monkeypatch):
+    built = []
+    honest = OSAlgebra.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        honest(self, *args)
+
+    monkeypatch.setattr(OSAlgebra, "__init__", counting)
+    maps = degenerations(aff, p)
+    assert len(maps) == 1 + aff.num_classes
+    assert all(d.source is maps[0].source for d in maps)
+    # one source, then one target per map
+    assert len(built) == 1 + len(maps)
+
+
+def test_constructors_share_a_given_source_algebra():
+    source = OSAlgebra(fig3_affine(), 3)
+    assert delta_tot(source, 3).source is source
+    assert delta_dir(source, 1, 3).source is source
+    assert delta_tot(source, 3).deg2_matrix == delta_tot(fig3_affine(), 3).deg2_matrix
+    with pytest.raises(ModulusMismatchError):
+        delta_tot(source, 5)
+    with pytest.raises(ModulusMismatchError):
+        delta_dir(source, 0, 2)
 
 
 def test_verify_rejects_no_maps():

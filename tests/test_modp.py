@@ -2,16 +2,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrcohom import catalog
+from arrcohom.geometry import decone
 from arrcohom.modp import (
     DimensionMismatchError,
     FpMatrix,
     FpVector,
     ModulusMismatchError,
     NotPrimeError,
+    _kernel_raw,
     _rref_raw,
     is_prime,
 )
+from arrcohom.orlik_solomon import OSAlgebra
+from conftest import box_sources
 
 PRIMES = (2, 3, 5, 7, 13)
 
@@ -114,3 +121,148 @@ def test_large_modulus_stays_exact():
     assert expected == [3, 0]  # would be garbage if products overflowed int64
     assert (m @ v).tolist() == expected
     assert m.rank() == 2
+
+
+def test_rref_reduces_its_input_on_entry():
+    # a nonzero multiple of p is a zero entry, not a pivot to invert
+    m = np.array([[3, 1], [1, 1]], dtype=np.int64)
+    rref, pivots = _rref_raw(m, 3)
+    assert pivots == [0, 1]
+    assert rref.tolist() == [[1, 0], [0, 1]]
+    assert m.tolist() == [[3, 1], [1, 1]]
+    # an input that gets no pivot comes back reduced as well
+    m = np.array([[3, -6], [9, 0]], dtype=np.int64)
+    rref, pivots = _rref_raw(m, 3)
+    assert pivots == []
+    assert rref.tolist() == [[0, 0], [0, 0]]
+    assert m.tolist() == [[3, -6], [9, 0]]
+
+
+def _full_matrix_rref(a, p):
+    """The elimination as it was before pivots touched only the rows and
+    columns they change: every pivot updates the whole matrix."""
+    a = a.copy()
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        top = r + int(nz[0])
+        if top != r:
+            a[[r, top]] = a[[top, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        # in place: one matrix-sized temporary per pivot, so the allocator
+        # does not hand pages back and fault them in again on every pivot
+        a -= np.outer(factors, a[r])
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _loop_kernel(rref, pivots, p):
+    """The kernel basis filled entry by entry, as it was before one
+    assignment filled the pivot entries."""
+    cols = rref.shape[1]
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for r, c in enumerate(pivots):
+            basis[k, c] = (-int(rref[r, f])) % p
+    return basis
+
+
+def _assert_matches_full_matrix_rref(a, p):
+    before = a.copy()
+    rref, pivots = _rref_raw(a, p)
+    expected, expected_pivots = _full_matrix_rref(a, p)
+    assert pivots == expected_pivots
+    assert rref.dtype == expected.dtype and np.array_equal(rref, expected)
+    assert np.array_equal(a, before)
+    basis = _kernel_raw(a, p)
+    assert np.array_equal(basis, _loop_kernel(expected, expected_pivots, p))
+    assert not ((a @ basis.T.astype(object)) % p).any()
+
+
+DIFF_PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+def _sparse_rows(rng, rows, cols, per_row, p):
+    # each row holds per_row nonzeros (fewer if cols is smaller) in random columns
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rows):
+        k = min(cols, int(rng.choice(per_row)))
+        a[i, rng.choice(cols, size=k, replace=False)] = rng.integers(1, p, size=k)
+    return a
+
+
+@st.composite
+def reduced_matrices(draw):
+    """A prime and a matrix of residues mod it: empty, dense, low rank, tall
+    and sparse like d1 (about 400 x 30, 2-3 nonzeros a row, some columns
+    empty), or wide like the quotient oracle's relation rows (1 or 3
+    nonzeros a row)."""
+    p = draw(st.sampled_from(DIFF_PRIMES))
+    kind = draw(st.sampled_from(["empty", "dense", "low-rank", "tall", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        shape = draw(st.sampled_from([(0, 0), (0, 5), (5, 0)]))
+        return p, np.zeros(shape, dtype=np.int64)
+    if kind == "dense":
+        rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        return p, rng.integers(0, p, size=(rows, cols))
+    if kind == "low-rank":
+        rows, cols, k = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(0, 4))
+        low = rng.integers(0, 4, size=(rows, k)) @ rng.integers(0, 4, size=(k, cols))
+        return p, low.astype(np.int64) % p
+    if kind == "tall":
+        rows, cols = draw(st.integers(350, 450)), draw(st.integers(20, 40))
+        a = _sparse_rows(rng, rows, cols, [2, 3], p)
+        a[:, rng.choice(cols, size=draw(st.integers(0, 3)), replace=False)] = 0
+        return p, a
+    rows, cols = draw(st.integers(5, 40)), draw(st.integers(40, 120))
+    return p, _sparse_rows(rng, rows, cols, [1, 3], p)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=reduced_matrices())
+def test_rref_matches_full_matrix_elimination(case):
+    p, a = case
+    _assert_matches_full_matrix_rref(a, p)
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_rref_matches_full_matrix_elimination_on_fixed_cases(p):
+    cases = [
+        np.zeros((0, 0), dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+        np.zeros((4, 0), dtype=np.int64),
+        np.zeros((3, 3), dtype=np.int64),
+        np.eye(4, dtype=np.int64),
+        # a pivot row found below a zero, then back-substituted into the rows above
+        np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 1]], dtype=np.int64) % p,
+        np.full((5, 6), p - 1, dtype=np.int64),
+        np.triu(np.ones((6, 6), dtype=np.int64))[::-1].copy(),
+    ]
+    for a in cases:
+        _assert_matches_full_matrix_rref(a, p)
+
+
+def _d1_sources():
+    return ([arr for _, arr in catalog.sweep_members(12)] + box_sources(50, seed=2024))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_matches_full_matrix_elimination_on_d1(p):
+    # the wedge matrix of the all-ones form at line 0, as the dense check builds it
+    for arr in _d1_sources():
+        alg = OSAlgebra(decone(arr, 0), p)
+        _assert_matches_full_matrix_rref(alg.wedge_matrix(alg.ones()).data, p)

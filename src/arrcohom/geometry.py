@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 __all__ = [
     "ProjLine",
@@ -60,16 +59,12 @@ class BadKError(ValueError):
 
 def _canonical(triple) -> tuple[int, int, int]:
     a, b, c = (int(t) for t in triple)
-    if a == 0 and b == 0 and c == 0:
+    g = math.gcd(a, b, c)
+    if not g:
         raise ZeroLineError("all three coordinates are zero")
-    g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-    a, b, c = a // g, b // g, c // g
-    for t in (a, b, c):
-        if t:
-            if t < 0:
-                a, b, c = -a, -b, -c
-            break
-    return a, b, c
+    if a < 0 or not a and (b < 0 or not b and c < 0):
+        g = -g  # first nonzero entry positive
+    return a // g, b // g, c // g
 
 
 def _dot(u, v) -> int:
@@ -173,19 +168,23 @@ class ProjArrangement:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """All pairwise intersection points with their sorted incident line sets.
+    """All pairwise intersection points in incidence-tuple order (see
+    ``lattice``): ``incidences`` holds each point's sorted incident lines,
+    ``coords`` its canonical coordinates. ``points`` pairs them as
+    ``ProjPoint`` objects, built on first use, for display only."""
 
-    Points are ordered by incident tuple, which is deterministic because
-    two distinct points never share two lines.
-    """
+    coords: tuple[tuple[int, int, int], ...]
+    incidences: tuple[tuple[int, ...], ...]
 
-    points: tuple[tuple[ProjPoint, tuple[int, ...]], ...]
+    @cached_property
+    def points(self) -> tuple[tuple[ProjPoint, tuple[int, ...]], ...]:
+        return tuple(zip(map(ProjPoint, self.coords), self.incidences))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.incidences)
 
     def multiplicities(self) -> list[int]:
-        return [len(inc) for _, inc in self.points]
+        return [len(inc) for inc in self.incidences]
 
     def histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -195,16 +194,26 @@ class IntersectionLattice:
 
 
 def lattice(arr: ProjArrangement) -> IntersectionLattice:
-    """Group the C(n+1, 2) pairwise intersections by coincident point, uncached."""
-    incident: dict[ProjPoint, set[int]] = {}
-    for i, j in combinations(range(len(arr.lines)), 2):
-        pt = intersect(arr.lines[i], arr.lines[j])
-        incident.setdefault(pt, set()).update((i, j))
-    points = sorted(
-        ((pt, tuple(sorted(inc))) for pt, inc in incident.items()),
-        key=lambda item: item[1],
-    )
-    return IntersectionLattice(tuple(points))
+    """Group the C(n+1, 2) pairwise intersections by coincident point, uncached.
+
+    Pairs (i, j), i < j, run in order; each cross product, canonicalized as
+    in ``ProjPoint``, keys a dict. The point through lines l1 < l2 < ... is
+    first met at (l1, l2), and only the pairs (l1, k) extend its list, so it
+    is sorted and complete. Two points never share two lines, so this
+    first-pair order of the dict is incidence-tuple order: nothing is sorted.
+    """
+    coeffs = [line.coeffs for line in arr.lines]
+    incident: dict[tuple[int, int, int], list[int]] = {}
+    for i, (a, b, c) in enumerate(coeffs):
+        for j, (d, e, f) in enumerate(coeffs[i + 1:], i + 1):
+            x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
+            g = math.gcd(x, y, z)
+            if x < 0 or not x and (y < 0 or not y and z < 0):
+                g = -g
+            inc = incident.setdefault((x // g, y // g, z // g), [i, j])
+            if inc[0] == i and inc[1] != j:  # (i, j) extends the point i anchors
+                inc.append(j)
+    return IntersectionLattice(tuple(incident), tuple(map(tuple, incident.values())))
 
 
 def mu(arr: ProjArrangement, i: int, k: int) -> int:
@@ -212,7 +221,7 @@ def mu(arr: ProjArrangement, i: int, k: int) -> int:
     arr.check_index(i)
     if k < 2:
         raise BadKError(f"k must be at least 2, got {k}")
-    return sum(1 for _, inc in arr.lattice.points if i in inc and len(inc) % k == 0)
+    return sum(1 for inc in arr.lattice.incidences if i in inc and len(inc) % k == 0)
 
 
 def is_essential(arr: ProjArrangement) -> bool:
@@ -252,7 +261,7 @@ def decone(arr: ProjArrangement, infinity_index: int) -> AffineArrangement:
     arr.check_index(infinity_index)
     h = infinity_index
     classes, finite = [], []
-    for _, inc in arr.lattice.points:
+    for inc in arr.lattice.incidences:
         if h in inc:
             classes.append(tuple(s - (s > h) for s in inc if s != h))
         else:

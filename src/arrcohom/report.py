@@ -111,7 +111,7 @@ def mu_table(arr: ProjArrangement) -> MuTable:
     ``arr.lattice`` (``geometry.mu`` counts one line and one k)."""
     ks = tuple(o.k for o in orders(len(arr.lines)))
     rows = [[0] * len(ks) for _ in arr.lines]
-    for _, inc in arr.lattice.points:
+    for inc in arr.lattice.incidences:
         hits = [c for c, k in enumerate(ks) if len(inc) % k == 0]
         for i in inc:
             for c in hits:
@@ -203,7 +203,7 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
     lines = list(lines)
     for h in lines:
         arr.check_index(h)  # numpy would wrap a negative index
-    results = beta1_sweep([inc for _, inc in arr.lattice.points], lines, primes)
+    results = beta1_sweep(arr.lattice.incidences, lines, primes)
     aff = decone(arr, lines[0])
     for p in primes:
         alg = OSAlgebra(aff, p)

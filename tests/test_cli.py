@@ -30,6 +30,44 @@ def test_lattice_braid(capsys):
     assert "essential: True" in out
 
 
+BRAID_LATTICE_TEXT = """\
+6 lines, 7 intersection points
+  (0:0:1)  multiplicity 3  lines [0, 1, 3]
+  (0:1:0)  multiplicity 3  lines [0, 2, 4]
+  (0:1:1)  multiplicity 2  lines [0, 5]
+  (1:0:0)  multiplicity 3  lines [1, 2, 5]
+  (1:0:1)  multiplicity 2  lines [1, 4]
+  (1:1:0)  multiplicity 2  lines [2, 3]
+  (1:1:1)  multiplicity 3  lines [3, 4, 5]
+multiplicity histogram: {2: 3, 3: 4}
+essential: True
+divisible-point counts, k in [2, 3, 6]:
+  line 0 [1 0 0]: [1, 2, 0]
+  line 1 [0 1 0]: [1, 2, 0]
+  line 2 [0 0 1]: [1, 2, 0]
+  line 3 [1 -1 0]: [1, 2, 0]
+  line 4 [1 0 -1]: [1, 2, 0]
+  line 5 [0 1 -1]: [1, 2, 0]
+"""
+
+
+BRAID_LATTICE_JSON = (
+    '{"degree": 6, "essential": true, "histogram": {"2": 3, "3": 4}, '
+    '"mu_table": {"ks": [2, 3, 6], "rows": [[1, 2, 0], [1, 2, 0], [1, 2, 0], '
+    '[1, 2, 0], [1, 2, 0], [1, 2, 0]]}, "points": ['
+    '{"lines": [0, 1, 3], "point": [0, 0, 1]}, {"lines": [0, 2, 4], "point": [0, 1, 0]}, '
+    '{"lines": [0, 5], "point": [0, 1, 1]}, {"lines": [1, 2, 5], "point": [1, 0, 0]}, '
+    '{"lines": [1, 4], "point": [1, 0, 1]}, {"lines": [2, 3], "point": [1, 1, 0]}, '
+    '{"lines": [3, 4, 5], "point": [1, 1, 1]}]}\n'
+)
+
+
+def test_lattice_output_is_pinned(capsys):
+    # point coordinates, their order and both layouts, byte for byte
+    assert run(capsys, "lattice", "--builtin", "braid-a3") == (0, BRAID_LATTICE_TEXT, "")
+    assert run(capsys, "lattice", "--builtin", "braid-a3", "--json") == (0, BRAID_LATTICE_JSON, "")
+
+
 def test_lattice_pencil(capsys):
     code, out, _ = run(capsys, "lattice", "--builtin", "pencil", "--m", "4")
     assert code == 0

@@ -22,7 +22,8 @@ from arrcohom.geometry import (
     parse_line,
 )
 from arrcohom import catalog, geometry
-from arrcohom.report import report
+from arrcohom.degeneration import degenerations
+from arrcohom.report import beta1_by_line, report
 from conftest import box_sources
 
 
@@ -105,16 +106,58 @@ def test_pencil_lattice():
     assert lat.points[0][0] == ProjPoint((0, 0, 1))
 
 
+def _huge_arrangement(seed):
+    # lines through a few points with coordinates near 2**75 and mixed signs:
+    # each point carries several lines (forced concurrences), and the points
+    # at infinity make the lines through them parallel once z = 0 is deconed
+    rng = random.Random(seed)
+
+    def coord():
+        return rng.choice((-1, 1)) * rng.randrange(2**74, 2**76)
+
+    finite = [(coord(), coord(), coord()) for _ in range(4)]
+    at_infinity = [(coord(), coord(), 0) for _ in range(2)]
+    lines = {(0, 0, 1)}
+    for pt in finite + at_infinity:
+        for _ in range(rng.randint(2, 4)):
+            q = rng.choice(finite)
+            if q != pt:
+                # the line through two points: their cross product, by duality
+                lines.add(intersect(ProjLine(pt), ProjLine(q)).coords)
+    lines = sorted(lines)
+    rng.shuffle(lines)
+    return ProjArrangement.from_coeffs(lines)
+
+
+HUGE = [_huge_arrangement(seed) for seed in range(8)]
+
+
+def test_huge_arrangements_cover_their_cases():
+    # the hand-built cases do reach the coefficient sizes and the
+    # concurrences and parallels they are meant to cover
+    for arr in HUGE:
+        assert max(abs(t) for line in arr.lines for t in line.coeffs) > 2**70
+        assert max(arr.lattice.multiplicities()) >= 3
+        assert any(t < 0 for line in arr.lines for t in line.coeffs)
+        assert any(len(c) >= 2 for c in decone(arr, arr.lines.index(ProjLine((0, 0, 1)))).classes)
+
+
 def test_lattice_against_pair_grouping(members):
-    # independent recount: group every pair by its intersection point
-    for _, arr in members:
+    # independent recount: group every pair by its intersection point; the
+    # lattice lists the groups in incidence order, with their coordinates
+    sources = [arr for _, arr in members] + box_sources(50, seed=11) + HUGE
+    for arr in sources:
         groups = {}
         for i, j in combinations(range(len(arr.lines)), 2):
             groups.setdefault(intersect(arr.lines[i], arr.lines[j]), set()).update((i, j))
+        expected = sorted(((pt, tuple(sorted(inc))) for pt, inc in groups.items()),
+                          key=lambda item: item[1])
         lat = lattice(arr)
-        assert {pt: tuple(sorted(inc)) for pt, inc in lat.points} == {
-            pt: tuple(sorted(inc)) for pt, inc in groups.items()
-        }
+        assert lat.incidences == tuple(sorted(lat.incidences))
+        assert lat.incidences == tuple(inc for _, inc in expected)
+        assert lat.coords == tuple(pt.coords for pt, _ in expected)
+        assert "points" not in vars(lat)
+        assert lat.points == tuple(expected)
 
 
 def test_pairing_completeness_and_pair_count(members):
@@ -215,6 +258,19 @@ def test_one_lattice_per_arrangement(monkeypatch):
     assert twin == arr
     assert twin.lattice == arr.lattice
     assert len(computed) == 2 and computed[1] is twin
+
+
+@pytest.mark.parametrize("name", ["braid-a3", "pappus"])
+def test_points_stay_lazy(name):
+    # only lattice output builds ProjPoints; the verdicts read incidences
+    arr = catalog.build_named(name)
+    report(arr)
+    beta1_by_line(arr, [2, 3], range(len(arr.lines)))
+    for h in range(len(arr.lines)):
+        degenerations(decone(arr, h), 3)
+    assert "points" not in vars(arr.lattice)
+    assert arr.lattice.points[0] == (ProjPoint(arr.lattice.coords[0]), arr.lattice.incidences[0])
+    assert "points" in vars(arr.lattice)
 
 
 def test_decone_roundtrip_and_counts(members):

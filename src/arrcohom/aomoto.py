@@ -4,14 +4,13 @@ targets (a pencil of s lines through one point, and r parallels crossed
 by one transversal), written as incidences. ``beta1_sweep`` reads the
 kernel of d1 at the all-ones form off the incidences (Falk's resonance
 over F_p), one listed deconing of a projective lattice at a time, over
-incidence arrays built once; ``beta1_ones`` is the same kernel on one
-affine arrangement.
+the incidence arrays the lattice keeps; ``beta1_ones`` is the same kernel
+on one affine arrangement, read off its ``closure``.
 The dense definition ``beta1_full`` is their independent check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -93,22 +92,20 @@ def _components(flat, owner, mult, join, m):
     return lab
 
 
-def _sweep(points, lines, primes):
+def _sweep(lat, lines, primes):
     """Yield (p, M, result) for every listed line h and then every prime p,
     in that order: the count matrix of the deconing at h and its
     ``beta1_full`` at the all-ones form. The points on h are at infinity,
     so h meets no finite point and is a component of its own, which M
     leaves out; only the rank of each small M is taken per line."""
     primes = [_check_modulus(p) for p in primes]
-    mult = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
-    flat = np.fromiter(chain.from_iterable(points), dtype=np.intp, count=int(mult.sum()))
-    owner = np.repeat(np.arange(len(points)), mult)
+    mult, flat, owner = lat.arrays
     m = int(flat.max()) + 1
     sums = {p: (mult > 2) & (mult % p == 0) for p in primes}
     for h in lines:
         if not 0 <= h < m:
             raise IndexError(f"line index {h} out of range 0..{m - 1}")
-        finite = np.ones(len(points), dtype=bool)
+        finite = np.ones(len(mult), dtype=bool)
         finite[owner[flat == h]] = False
         dim2 = int((mult[finite] - 1).sum())
         for p in primes:
@@ -124,39 +121,33 @@ def _sweep(points, lines, primes):
             yield p, mat, _full_result(m - 1, dim2, 1, m - 1 - dim_ker)
 
 
-def beta1_sweep(points, lines, primes) -> dict[int, list[Beta1Result]]:
+def beta1_sweep(lat, lines, primes) -> dict[int, list[Beta1Result]]:
     """``beta1_full`` at the all-ones form of the deconing at each listed
-    line, for every prime, read off the incidences of a projective lattice
-    (``points``: sorted tuples of line indices, every two lines sharing
-    exactly one), one line at a time. At deconing h, kernel forms of d1
-    are constant along each point X not on h with m_X = 2 or p not
-    dividing m_X, so their lines merge into components; every other point
-    not on h is a row of a small count matrix M, holding its lines' counts
-    per component, since kernel forms sum to zero there. ker d1 is M's
-    null space. Maps each prime to its results in the listed order; a
-    line index outside 0..m-1 raises ``IndexError``."""
+    line, for every prime, read off the incidence ``arrays`` of a
+    projective ``IntersectionLattice`` ``lat``, one line at a time. At
+    deconing h, kernel forms of d1 are constant along each point X not on
+    h with m_X = 2 or p not dividing m_X, so their lines merge into
+    components; every other point not on h is a row of a small count
+    matrix M, holding its lines' counts per component, since kernel forms
+    sum to zero there. ker d1 is M's null space. Maps each prime to its
+    results in the listed order; a line index outside 0..m-1 raises
+    ``IndexError``."""
     results = {p: [] for p in primes}
-    for p, _, res in _sweep(points, lines, list(results)):  # each prime once
+    for p, _, res in _sweep(lat, lines, list(results)):  # each prime once
         results[p].append(res)
     return results
-
-
-def _closure(aff: AffineArrangement) -> list[tuple[int, ...]]:
-    """The projective incidences of an affine arrangement: each parallel
-    class meets the line at infinity, numbered n, in one point."""
-    return [c + (aff.n,) for c in aff.classes] + list(aff.finite_points)
 
 
 def count_matrix(aff: AffineArrangement, p: int) -> np.ndarray:
     """The count matrix M of ``beta1_sweep`` for one affine arrangement:
     rows its finite sum points, columns its components by smallest line."""
-    ((_, mat, _),) = _sweep(_closure(aff), [aff.n], [p])
+    ((_, mat, _),) = _sweep(aff.closure(), [aff.n], [p])
     return mat
 
 
 def beta1_ones(aff: AffineArrangement, p: int) -> Beta1Result:
     """``beta1_full`` at the all-ones form: ker d1 is ``count_matrix``'s null space."""
-    ((_, _, res),) = _sweep(_closure(aff), [aff.n], [p])
+    ((_, _, res),) = _sweep(aff.closure(), [aff.n], [p])
     return res
 
 

@@ -9,8 +9,12 @@ the intersection lattice can be assembled by dictionary grouping.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "ProjLine",
@@ -168,13 +172,23 @@ class ProjArrangement:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """All pairwise intersection points in incidence-tuple order (see
-    ``lattice``): ``incidences`` holds each point's sorted incident lines,
-    ``coords`` its canonical coordinates. ``points`` pairs them as
-    ``ProjPoint`` objects, built on first use, for display only."""
+    """The points of a line arrangement in incidence-tuple order (see
+    ``lattice``): ``incidences`` holds each point's sorted lines, every two
+    lines sharing exactly one point, and ``coords`` their canonical
+    coordinates, empty when only incidences are known (``closure``).
+    ``arrays``, the one array form every consumer reads, is (mult, flat,
+    owner): each point's multiplicity, the incidences concatenated, and each
+    entry's point. ``points`` pairs coordinates and incidences as
+    ``ProjPoint`` objects, for display only. Both are built on first use."""
 
-    coords: tuple[tuple[int, int, int], ...]
     incidences: tuple[tuple[int, ...], ...]
+    coords: tuple[tuple[int, int, int], ...] = ()
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mult = np.fromiter(map(len, self.incidences), np.intp, len(self))
+        flat = np.fromiter(chain.from_iterable(self.incidences), np.intp, int(mult.sum()))
+        return mult, flat, np.repeat(np.arange(len(self)), mult)
 
     @cached_property
     def points(self) -> tuple[tuple[ProjPoint, tuple[int, ...]], ...]:
@@ -184,13 +198,10 @@ class IntersectionLattice:
         return len(self.incidences)
 
     def multiplicities(self) -> list[int]:
-        return [len(inc) for inc in self.incidences]
+        return self.arrays[0].tolist()
 
     def histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for m in self.multiplicities():
-            hist[m] = hist.get(m, 0) + 1
-        return hist
+        return dict(Counter(self.multiplicities()))
 
 
 def lattice(arr: ProjArrangement) -> IntersectionLattice:
@@ -213,11 +224,12 @@ def lattice(arr: ProjArrangement) -> IntersectionLattice:
             inc = incident.setdefault((x // g, y // g, z // g), [i, j])
             if inc[0] == i and inc[1] != j:  # (i, j) extends the point i anchors
                 inc.append(j)
-    return IntersectionLattice(tuple(incident), tuple(map(tuple, incident.values())))
+    return IntersectionLattice(tuple(map(tuple, incident.values())), tuple(incident))
 
 
 def mu(arr: ProjArrangement, i: int, k: int) -> int:
-    """Number of points of ``arr.lattice`` on line i whose multiplicity k divides."""
+    """Number of points of ``arr.lattice`` on line i whose multiplicity k divides,
+    by a plain scan of the incidence tuples: the independent check of ``mu_table``."""
     arr.check_index(i)
     if k < 2:
         raise BadKError(f"k must be at least 2, got {k}")
@@ -235,8 +247,8 @@ class AffineArrangement:
     their parallel classes, ordered by smallest member, and their finite
     intersection points, all as sorted tuples of generator positions. No
     coordinates are kept, so equality is combinatorial. ``decone`` relabels
-    a projective lattice into this form; the two degeneration models of
-    ``aomoto`` are written down directly.
+    a projective lattice into this form and ``closure`` undoes it; the two
+    degeneration models of ``aomoto`` are written down directly.
     """
 
     n: int
@@ -247,6 +259,12 @@ class AffineArrangement:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+    def closure(self) -> IntersectionLattice:
+        """The projective incidences, without coordinates: each parallel class
+        meets the line at infinity, numbered n, in one point."""
+        return IntersectionLattice(tuple(sorted(
+            [c + (self.n,) for c in self.classes] + list(self.finite_points))))
 
 
 def decone(arr: ProjArrangement, infinity_index: int) -> AffineArrangement:

@@ -23,7 +23,9 @@ all of them and checks that they agree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .aomoto import Beta1Result, beta1_full, beta1_sweep
 from .geometry import ProjArrangement, decone, is_essential
@@ -107,16 +109,14 @@ class MuTable:
 
 
 def mu_table(arr: ProjArrangement) -> MuTable:
-    """Every divisible-point count in one pass over the points of
-    ``arr.lattice`` (``geometry.mu`` counts one line and one k)."""
+    """Every divisible-point count, one ``bincount`` per order over the
+    incidence arrays of ``arr.lattice``: the lines of the points whose
+    multiplicity k divides (``geometry.mu`` counts one line and one k)."""
     ks = tuple(o.k for o in orders(len(arr.lines)))
-    rows = [[0] * len(ks) for _ in arr.lines]
-    for inc in arr.lattice.incidences:
-        hits = [c for c, k in enumerate(ks) if len(inc) % k == 0]
-        for i in inc:
-            for c in hits:
-                rows[i][c] += 1
-    return MuTable(ks, tuple(map(tuple, rows)))
+    mult, flat, owner = arr.lattice.arrays
+    columns = [np.bincount(flat[(mult % k == 0)[owner]], minlength=len(arr.lines)).tolist()
+               for k in ks]
+    return MuTable(ks, tuple(zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,6 @@ class PrimeRecord:
     theorem16_applicable: bool
     theorem16_consistent: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "min_mu": self.min_mu,
-            "witness_line": self.witness_line,
-            "beta1": self.beta1,
-            "beta1_all_deconings": list(self.beta1_all_deconings),
-            "theorem16_applicable": self.theorem16_applicable,
-            "theorem16_consistent": self.theorem16_consistent,
-        }
-
 
 @dataclass(frozen=True)
 class OrderRecord:
@@ -153,13 +142,10 @@ class OrderRecord:
     verdict: str
     bound: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "prime_power": list(self.prime_power) if self.prime_power else None,
-            "verdict": self.verdict,
-            "bound": self.bound,
-        }
+
+def _json_fields(fields) -> dict:
+    """``asdict`` factory: tuple fields become lists, as JSON writes them."""
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in fields}
 
 
 @dataclass(frozen=True)
@@ -188,8 +174,8 @@ class VanishingReport:
             "degree": self.degree,
             "essential": self.essential,
             "mu_table": {"ks": list(self.mu.ks), "rows": [list(r) for r in self.mu.rows]},
-            "primes": [rec.to_json_dict() for rec in self.primes],
-            "orders": [rec.to_json_dict() for rec in self.orders],
+            "primes": [asdict(rec, dict_factory=_json_fields) for rec in self.primes],
+            "orders": [asdict(rec, dict_factory=_json_fields) for rec in self.orders],
         }
 
 
@@ -199,11 +185,14 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
     at the all-ones one-form. ``aomoto.beta1_sweep`` reads them off the
     lattice the arrangement keeps, one line at a time; the result maps
     each prime to its results in line order. Only the first listed line is
-    deconed, for the dense definition, which must agree there."""
+    deconed, for the dense definition, which must agree there; no listed
+    line gives empty lists."""
     lines = list(lines)
     for h in lines:
         arr.check_index(h)  # numpy would wrap a negative index
-    results = beta1_sweep(arr.lattice.incidences, lines, primes)
+    results = beta1_sweep(arr.lattice, lines, primes)
+    if not lines:
+        return results
     aff = decone(arr, lines[0])
     for p in primes:
         alg = OSAlgebra(aff, p)

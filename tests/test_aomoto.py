@@ -189,9 +189,8 @@ def test_deconing_invariance_braid():
 @pytest.mark.parametrize("h", (-1, 6))
 def test_sweep_rejects_line_index_out_of_range(braid, h):
     # -1 must not wrap around to the last line
-    points = [inc for _, inc in braid.lattice.points]
     with pytest.raises(IndexError, match=f"line index {h} out of range 0..5"):
-        beta1_sweep(points, [h], [3])
+        beta1_sweep(braid.lattice, [h], [3])
 
 
 def test_pencil_deconing_degenerate_path():
@@ -235,3 +234,9 @@ def test_incidence_kernel_matches_definition_and_oracle(every_deconing, p):
         assert res.value == QuotientOSOracle(aff, p).beta1([1] * aff.n)
         nonzero += res.value > 0
     assert nonzero > 0
+
+
+def test_beta1_ones_is_the_sweep_of_the_closure(every_deconing):
+    for aff in every_deconing:
+        for p in (2, 3, 5):
+            assert beta1_ones(aff, p) == beta1_sweep(aff.closure(), [aff.n], [p])[p][0], aff

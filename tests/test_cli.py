@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from arrcohom.aomoto import Beta1Result
 from arrcohom.catalog import BUILTINS, build_named
 from arrcohom.cli import canonical_json, main
 from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
-from arrcohom.geometry import decone
+from arrcohom.geometry import IntersectionLattice, decone
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -219,6 +220,26 @@ def test_degenerate_json_matches_maps_built_and_verified_alone(capsys, argv):
                  for d in alone],
     }
     assert out == canonical_json(expected) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--builtin", "pappus"],
+    ["report", "--builtin", "pappus", "--json"],
+    ["beta1", "--builtin", "pappus", "--prime", "3", "--all-deconings"],
+])
+def test_incidence_arrays_built_once(capsys, monkeypatch, argv):
+    # mu_table and the sweep read the lattice's one cached array form
+    honest, builds = IntersectionLattice.arrays.func, []
+
+    def counted(lat):
+        builds.append(lat)
+        return honest(lat)
+
+    arrays = cached_property(counted)
+    arrays.__set_name__(IntersectionLattice, "arrays")
+    monkeypatch.setattr(IntersectionLattice, "arrays", arrays)
+    assert main(argv) == 0
+    assert len(builds) == 1
 
 
 def test_report_json_round_trip(capsys):

@@ -265,12 +265,35 @@ def test_points_stay_lazy(name):
     # only lattice output builds ProjPoints; the verdicts read incidences
     arr = catalog.build_named(name)
     report(arr)
+    assert "arrays" in vars(arr.lattice)  # mu_table and the sweep share it
     beta1_by_line(arr, [2, 3], range(len(arr.lines)))
     for h in range(len(arr.lines)):
         degenerations(decone(arr, h), 3)
     assert "points" not in vars(arr.lattice)
     assert arr.lattice.points[0] == (ProjPoint(arr.lattice.coords[0]), arr.lattice.incidences[0])
     assert "points" in vars(arr.lattice)
+
+
+def test_arrays_are_the_incidences(members):
+    # the one array form: multiplicities, the concatenation, each entry's point
+    for arr in [arr for _, arr in members] + box_sources(50, seed=2024):
+        incidences = arr.lattice.incidences
+        mult, flat, owner = arr.lattice.arrays
+        assert mult.tolist() == list(map(len, incidences)) == arr.lattice.multiplicities()
+        assert flat.tolist() == [s for inc in incidences for s in inc]
+        assert owner.tolist() == [x for x, inc in enumerate(incidences) for _ in inc]
+
+
+def test_closure_inverts_decone(members):
+    # closing the deconing at h numbers h as n and every other s as s - (s > h)
+    for arr in [arr for _, arr in members] + box_sources(50, seed=2024):
+        n = len(arr.lines) - 1
+        for h in range(n + 1):
+            closed = decone(arr, h).closure()
+            assert closed.incidences == tuple(sorted(
+                tuple(sorted(n if s == h else s - (s > h) for s in inc))
+                for inc in arr.lattice.incidences))
+            assert closed.coords == ()
 
 
 def test_decone_roundtrip_and_counts(members):

@@ -71,15 +71,22 @@ def test_mu_table_pencil_and_generic():
 
 
 def test_mu_table_matches_mu(members):
-    # the one-pass table against the per-line, per-k count of geometry.mu
+    # the bincount table against the per-line, per-k tuple scan of
+    # geometry.mu, on the catalog, generic and near-pencil inputs of 60
+    # lines and seeded boxes, some with points of multiplicity 4 divisible
+    # by an order k >= 4
     sources = [arr for _, arr in members]
+    sources += [catalog.generic(60), catalog.near_pencil(60)]
     sources += box_sources(50, seed=2024)
+    high = 0
     for arr in sources:
         table = mu_table(arr)
         assert table.ks == tuple(o.k for o in orders(len(arr.lines)))
         assert len(table.rows) == len(arr.lines)
         for i, row in enumerate(table.rows):
             assert row == tuple(mu(arr, i, k) for k in table.ks)
+        high += any(row[c] for row in table.rows for c, k in enumerate(table.ks) if k >= 4)
+    assert high > 0
 
 
 def test_mu_monotone_under_divisibility(members):
@@ -255,6 +262,12 @@ def test_beta1_by_line_rejects_bad_index_before_sweeping(braid):
         beta1_by_line(braid, [3], [0, -1])
 
 
+def test_beta1_by_line_with_no_lines(braid):
+    # nothing to decone: empty lists, as the sweep gives
+    assert beta1_by_line(braid, [3], []) == {3: []}
+    assert aomoto.beta1_sweep(braid.lattice, [], [3]) == {3: []}
+
+
 @pytest.fixture(scope="module")
 def sources(members):
     """Every catalog member and the 50 seeded boxes, as projective arrangements."""
@@ -275,10 +288,9 @@ def test_sweep_follows_the_listed_order(sources):
     # lines listed backwards, then line 0 again: each result is the forward
     # sweep's at that line, in the listed order
     for arr in sources:
-        points = [inc for _, inc in arr.lattice.points]
         listed = list(reversed(range(len(arr.lines)))) + [0]
-        forward = aomoto.beta1_sweep(points, range(len(arr.lines)), [2, 3, 5])
-        swept = aomoto.beta1_sweep(points, listed, [2, 3, 5])
+        forward = aomoto.beta1_sweep(arr.lattice, range(len(arr.lines)), [2, 3, 5])
+        swept = aomoto.beta1_sweep(arr.lattice, listed, [2, 3, 5])
         for p in (2, 3, 5):
             assert swept[p] == [forward[p][h] for h in listed], (arr, p)
 

@@ -5,14 +5,15 @@ For a one-form xi, left wedge gives a two-step complex
 R -> A^1 -> A^2. Its first cohomology rank at the all-ones form is the
 modular quantity that bounds Milnor fiber eigenspace dimensions. Three
 computations are compared: the full definition (a dense rank of d1), the
-kernel read off the incidences (lines merged along the points whose
-multiplicity p does not divide, then a small count matrix M), and (when
-the coefficient sum is invertible) the kernel of the wedge map
-restricted to the sum-zero subspace.
+kernel swept off the projective lattice's incidences at the infinity
+line (lines merged along the points whose multiplicity p does not
+divide, then a small count matrix per deconing), and (when the
+coefficient sum is invertible) the kernel of the wedge map restricted to
+the sum-zero subspace.
 """
 
-from arrcohom import FpMatrix, OSAlgebra, beta1_full, beta1_ones, beta1_restricted, decone
-from arrcohom.aomoto import NotInvertibleError, central_fixture, count_matrix, parallel_fixture
+from arrcohom import OSAlgebra, beta1_full, beta1_restricted, beta1_sweep, decone
+from arrcohom.aomoto import NotInvertibleError, central_fixture, parallel_fixture
 from arrcohom.catalog import braid_a3, pencil
 
 # the braid arrangement: the bound is 1 over F_3 and 0 over F_2
@@ -22,12 +23,10 @@ for p in (2, 3):
     res = beta1_full(alg, alg.ones())
     print(f"braid, p={p}: beta1 = {res.value}  certificate {res.certificate}")
 
-# the same number from the incidences, next to the certificate above
-aff = decone(arr, 2)
-m = count_matrix(aff, 3)
-rank_m = FpMatrix(3, m).rank()
-print(f"incidences over F_3: {m.shape[1]} components, M is {m.shape[0]} x {m.shape[1]} "
-      f"of rank {rank_m}, beta1 = {m.shape[1]} - {rank_m} - 1 = {beta1_ones(aff, 3).value}")
+# the same number swept off the projective incidences at line 2, with the
+# same certificate as the dense rank of d1 above
+res = beta1_sweep(arr.lattice, [2], [3])[3][0]
+print(f"incidences over F_3 at line 2: beta1 = {res.value}  certificate {res.certificate}")
 
 # the restricted shortcut agrees whenever it applies (n = 5 affine lines,
 # so the coefficient sum of the all-ones form is 5)

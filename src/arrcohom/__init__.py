@@ -12,8 +12,8 @@ from .aomoto import (
     Beta1Result,
     NotInvertibleError,
     beta1_full,
-    beta1_ones,
     beta1_restricted,
+    beta1_sweep,
     central_fixture,
     parallel_fixture,
     sum_zero_basis,

@@ -1,12 +1,11 @@
 """The wedge cochain complex of an arrangement over F_p and its first
 cohomology rank, plus the two model arrangements every degeneration
 targets (a pencil of s lines through one point, and r parallels crossed
-by one transversal), written as incidences. ``beta1_sweep`` reads the
-kernel of d1 at the all-ones form off the incidences (Falk's resonance
-over F_p), one listed deconing of a projective lattice at a time, over
-the incidence arrays the lattice keeps; ``beta1_ones`` is the same kernel
-on one affine arrangement, read off its ``closure``.
-The dense definition ``beta1_full`` is their independent check."""
+by one transversal), written as incidences. ``beta1_sweep``, the one
+entry to the incidence kernel, reads the kernel of d1 at the all-ones
+form off the incidences (Falk's resonance over F_p), one listed deconing
+of a projective lattice at a time, over the incidence arrays the lattice
+keeps. The dense definition ``beta1_full`` is its independent check."""
 
 from __future__ import annotations
 
@@ -21,9 +20,7 @@ from .orlik_solomon import OSAlgebra
 __all__ = [
     "Beta1Result",
     "beta1_full",
-    "beta1_ones",
     "beta1_sweep",
-    "count_matrix",
     "beta1_restricted",
     "sum_zero_basis",
     "central_fixture",
@@ -92,35 +89,6 @@ def _components(flat, owner, mult, join, m):
     return lab
 
 
-def _sweep(lat, lines, primes):
-    """Yield (p, M, result) for every listed line h and then every prime p,
-    in that order: the count matrix of the deconing at h and its
-    ``beta1_full`` at the all-ones form. The points on h are at infinity,
-    so h meets no finite point and is a component of its own, which M
-    leaves out; only the rank of each small M is taken per line."""
-    primes = [_check_modulus(p) for p in primes]
-    mult, flat, owner = lat.arrays
-    m = int(flat.max()) + 1
-    sums = {p: (mult > 2) & (mult % p == 0) for p in primes}
-    for h in lines:
-        if not 0 <= h < m:
-            raise IndexError(f"line index {h} out of range 0..{m - 1}")
-        finite = np.ones(len(mult), dtype=bool)
-        finite[owner[flat == h]] = False
-        dim2 = int((mult[finite] - 1).sum())
-        for p in primes:
-            lab = _components(flat, owner, mult, finite & ~sums[p], m)
-            roots = lab == np.arange(m)
-            roots[h] = False
-            rows = finite & sums[p]
-            inc = rows[owner]
-            nrows, c = int(rows.sum()), int(roots.sum())
-            cells = (np.cumsum(rows) - 1)[owner[inc]] * c + (np.cumsum(roots) - 1)[lab[flat[inc]]]
-            mat = np.bincount(cells, minlength=nrows * c).reshape(nrows, c) % p
-            dim_ker = c - len(_rref_raw(mat, p)[1])
-            yield p, mat, _full_result(m - 1, dim2, 1, m - 1 - dim_ker)
-
-
 def beta1_sweep(lat, lines, primes) -> dict[int, list[Beta1Result]]:
     """``beta1_full`` at the all-ones form of the deconing at each listed
     line, for every prime, read off the incidence ``arrays`` of a
@@ -129,26 +97,35 @@ def beta1_sweep(lat, lines, primes) -> dict[int, list[Beta1Result]]:
     h with m_X = 2 or p not dividing m_X, so their lines merge into
     components; every other point not on h is a row of a small count
     matrix M, holding its lines' counts per component, since kernel forms
-    sum to zero there. ker d1 is M's null space. Maps each prime to its
-    results in the listed order; a line index outside 0..m-1 raises
-    ``IndexError``."""
+    sum to zero there. ker d1 is M's null space. The points on h are at
+    infinity, so h meets no finite point and is a component of its own,
+    which M leaves out; only the rank of each small M is taken per line.
+    Maps each prime, as given and once however often listed, to its
+    results in the listed line order. Every prime is checked before any
+    line; a line index outside 0..m-1 raises ``IndexError``."""
     results = {p: [] for p in primes}
-    for p, _, res in _sweep(lat, lines, list(results)):  # each prime once
-        results[p].append(res)
+    moduli = {p: _check_modulus(p) for p in results}
+    mult, flat, owner = lat.arrays
+    m = int(flat.max()) + 1
+    sums = {p: (mult > 2) & (mult % q == 0) for p, q in moduli.items()}
+    for h in lines:
+        if not 0 <= h < m:
+            raise IndexError(f"line index {h} out of range 0..{m - 1}")
+        finite = np.ones(len(mult), dtype=bool)
+        finite[owner[flat == h]] = False
+        dim2 = int((mult[finite] - 1).sum())
+        for p, q in moduli.items():
+            lab = _components(flat, owner, mult, finite & ~sums[p], m)
+            roots = lab == np.arange(m)
+            roots[h] = False
+            rows = finite & sums[p]
+            inc = rows[owner]
+            nrows, c = int(rows.sum()), int(roots.sum())
+            cells = (np.cumsum(rows) - 1)[owner[inc]] * c + (np.cumsum(roots) - 1)[lab[flat[inc]]]
+            mat = np.bincount(cells, minlength=nrows * c).reshape(nrows, c) % q
+            dim_ker = c - len(_rref_raw(mat, q)[1])
+            results[p].append(_full_result(m - 1, dim2, 1, m - 1 - dim_ker))
     return results
-
-
-def count_matrix(aff: AffineArrangement, p: int) -> np.ndarray:
-    """The count matrix M of ``beta1_sweep`` for one affine arrangement:
-    rows its finite sum points, columns its components by smallest line."""
-    ((_, mat, _),) = _sweep(aff.closure(), [aff.n], [p])
-    return mat
-
-
-def beta1_ones(aff: AffineArrangement, p: int) -> Beta1Result:
-    """``beta1_full`` at the all-ones form: ker d1 is ``count_matrix``'s null space."""
-    ((_, _, res),) = _sweep(aff.closure(), [aff.n], [p])
-    return res
 
 
 def sum_zero_basis(n: int, p: int) -> FpMatrix:

@@ -153,7 +153,6 @@ def cmd_beta1(args) -> int:
 def cmd_degenerate(args) -> int:
     arr = resolve_arrangement(args)
     infinity = args.infinity if args.infinity is not None else 0
-    arr.check_index(infinity)
     aff = decone(arr, infinity)
     maps = degenerations(aff, args.prime)
     if args.json:

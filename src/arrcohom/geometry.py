@@ -175,7 +175,7 @@ class IntersectionLattice:
     """The points of a line arrangement in incidence-tuple order (see
     ``lattice``): ``incidences`` holds each point's sorted lines, every two
     lines sharing exactly one point, and ``coords`` their canonical
-    coordinates, empty when only incidences are known (``closure``).
+    coordinates, empty when only incidences are known.
     ``arrays``, the one array form every consumer reads, is (mult, flat,
     owner): each point's multiplicity, the incidences concatenated, and each
     entry's point. ``points`` pairs coordinates and incidences as
@@ -247,8 +247,8 @@ class AffineArrangement:
     their parallel classes, ordered by smallest member, and their finite
     intersection points, all as sorted tuples of generator positions. No
     coordinates are kept, so equality is combinatorial. ``decone`` relabels
-    a projective lattice into this form and ``closure`` undoes it; the two
-    degeneration models of ``aomoto`` are written down directly.
+    a projective lattice into this form; the two degeneration models of
+    ``aomoto`` are written down directly.
     """
 
     n: int
@@ -259,12 +259,6 @@ class AffineArrangement:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def closure(self) -> IntersectionLattice:
-        """The projective incidences, without coordinates: each parallel class
-        meets the line at infinity, numbered n, in one point."""
-        return IntersectionLattice(tuple(sorted(
-            [c + (self.n,) for c in self.classes] + list(self.finite_points))))
 
 
 def decone(arr: ProjArrangement, infinity_index: int) -> AffineArrangement:

@@ -8,7 +8,6 @@ from arrcohom.aomoto import (
     BadSizeError,
     NotInvertibleError,
     beta1_full,
-    beta1_ones,
     beta1_restricted,
     beta1_sweep,
     central_fixture,
@@ -16,9 +15,9 @@ from arrcohom.aomoto import (
     sum_zero_basis,
 )
 from arrcohom.geometry import ProjArrangement, decone
-from arrcohom.modp import FpMatrix
+from arrcohom.modp import FpMatrix, NotPrimeError
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
-from conftest import box_arrangements
+from conftest import box_sources
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -213,13 +212,19 @@ def test_complex_rejects_wedge_matrix_not_killing_xi(monkeypatch, braid):
         beta1_full(alg, alg.ones())  # coefficient sum 5 is nonzero mod 3
 
 
+def test_sweep_checks_every_prime_before_any_line(braid):
+    with pytest.raises(NotPrimeError):
+        beta1_sweep(braid.lattice, [], [4])
+    with pytest.raises(NotPrimeError):
+        beta1_sweep(braid.lattice, [9], [3, 4])  # not the IndexError of line 9
+
+
 @pytest.fixture(scope="module")
 def every_deconing(members):
-    """Every catalog member at every infinity line, plus 50 seeded boxes."""
-    affs = []
-    for _, arr in members:
-        affs += [decone(arr, h) for h in range(len(arr.lines))]
-    return affs + box_arrangements(50, 2024)
+    """(arr, h) for every catalog member at every line h, plus 50 seeded
+    boxes at line 0."""
+    pairs = [(arr, h) for _, arr in members for h in range(len(arr.lines))]
+    return pairs + [(arr, 0) for arr in box_sources(50, 2024)]
 
 
 # no point's multiplicity is divisible by 2**31 - 1: the small matrix has no
@@ -227,16 +232,11 @@ def every_deconing(members):
 @pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
 def test_incidence_kernel_matches_definition_and_oracle(every_deconing, p):
     nonzero = 0
-    for aff in every_deconing:
+    for arr, h in every_deconing:
+        aff = decone(arr, h)
         alg = OSAlgebra(aff, p)
-        res = beta1_ones(aff, p)
-        assert res == beta1_full(alg, alg.ones()), aff
+        res = beta1_sweep(arr.lattice, [h], [p])[p][0]
+        assert res == beta1_full(alg, alg.ones()), (arr, h)
         assert res.value == QuotientOSOracle(aff, p).beta1([1] * aff.n)
         nonzero += res.value > 0
     assert nonzero > 0
-
-
-def test_beta1_ones_is_the_sweep_of_the_closure(every_deconing):
-    for aff in every_deconing:
-        for p in (2, 3, 5):
-            assert beta1_ones(aff, p) == beta1_sweep(aff.closure(), [aff.n], [p])[p][0], aff

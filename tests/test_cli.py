@@ -359,11 +359,13 @@ def test_exit_m_without_builtin(capsys, tmp_path):
 
 
 def test_exit_bad_infinity(capsys):
-    for infinity in ("9", "-1"):  # -1 must not wrap around to the last line
+    # -1 must not wrap around to the last line; a bad line exits 2 before
+    # a bad prime is checked
+    for infinity, prime in (("9", "3"), ("-1", "3"), ("9", "4")):
         for command in ("beta1", "degenerate"):
-            code, out, err = run(capsys, command, "--builtin", "braid-a3", "--prime", "3",
+            code, out, err = run(capsys, command, "--builtin", "braid-a3", "--prime", prime,
                                  "--infinity", infinity)
-            assert code == 2, (command, infinity)
+            assert code == 2, (command, infinity, prime)
             assert out == ""
             assert "out of range" in err
 

@@ -284,18 +284,6 @@ def test_arrays_are_the_incidences(members):
         assert owner.tolist() == [x for x, inc in enumerate(incidences) for _ in inc]
 
 
-def test_closure_inverts_decone(members):
-    # closing the deconing at h numbers h as n and every other s as s - (s > h)
-    for arr in [arr for _, arr in members] + box_sources(50, seed=2024):
-        n = len(arr.lines) - 1
-        for h in range(n + 1):
-            closed = decone(arr, h).closure()
-            assert closed.incidences == tuple(sorted(
-                tuple(sorted(n if s == h else s - (s > h) for s in inc))
-                for inc in arr.lattice.incidences))
-            assert closed.coords == ()
-
-
 def test_decone_roundtrip_and_counts(members):
     # the catalog plus irregular box arrangements, deconed at every line;
     # generator q is source line q + (q >= h), and every class and finite

@@ -30,15 +30,16 @@ print(f"sum of point defects: {defect} (matches rank {alg.dim2})")
 
 # pair reductions: zero iff the two lines are parallel
 print("\npair reductions:")
+e = alg.unit
 for i, j in combinations(range(alg.n), 2):
-    value = alg.pair_value(i, j)
+    value = alg.wedge11(e(i), e(j))
     tag = "parallel" if value.is_zero() else str(value.tolist())
     print(f"  e{i} ^ e{j} -> {tag}")
 
 # the three-term relation holds for every concurrent triple
 for inc in aff.finite_points:
     for i, j, k in combinations(inc, 3):
-        alt = alg.pair_value(i, j) - alg.pair_value(i, k) + alg.pair_value(j, k)
+        alt = alg.wedge11(e(i), e(j)) - alg.wedge11(e(i), e(k)) + alg.wedge11(e(j), e(k))
         assert alt.is_zero()
 print("\nall concurrent-triple relations vanish, as they must")
 

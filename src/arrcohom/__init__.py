@@ -39,7 +39,6 @@ from .geometry import (
     IntersectionLattice,
     ProjArrangement,
     ProjLine,
-    ProjPoint,
     TooFewLinesError,
     ZeroLineError,
     decone,

@@ -163,12 +163,11 @@ def central_fixture(s: int) -> AffineArrangement:
     """s affine lines through one point, pairwise non-parallel."""
     if s < 2:
         raise BadSizeError(f"central model needs s >= 2, got {s}")
-    return AffineArrangement(s, 0, tuple((j,) for j in range(s)), (tuple(range(s)),))
+    return AffineArrangement(tuple((j,) for j in range(s)), (tuple(range(s)),))
 
 
 def parallel_fixture(r: int) -> AffineArrangement:
     """r parallel lines (generators 0..r-1) crossed by one transversal (r)."""
     if r < 1:
         raise BadSizeError(f"parallel model needs r >= 1, got {r}")
-    return AffineArrangement(r + 1, 0, (tuple(range(r)), (r,)),
-                             tuple((j, r) for j in range(r)))
+    return AffineArrangement((tuple(range(r)), (r,)), tuple((j, r) for j in range(r)))

@@ -98,7 +98,8 @@ def cmd_lattice(args) -> int:
             "degree": len(arr.lines),
             "essential": is_essential(arr),
             "points": [
-                {"point": list(pt.coords), "lines": list(inc)} for pt, inc in lat.points
+                {"point": list(pt), "lines": list(inc)}
+                for pt, inc in zip(lat.coords, lat.incidences)
             ],
             "histogram": {str(k): v for k, v in sorted(lat.histogram().items())},
             "mu_table": {"ks": list(table.ks), "rows": [list(r) for r in table.rows]},
@@ -106,8 +107,8 @@ def cmd_lattice(args) -> int:
         print(canonical_json(payload))
         return EXIT_OK
     print(f"{len(arr.lines)} lines, {len(lat)} intersection points")
-    for pt, inc in lat.points:
-        print(f"  {pt}  multiplicity {len(inc)}  lines {list(inc)}")
+    for (x, y, z), inc in zip(lat.coords, lat.incidences):
+        print(f"  ({x}:{y}:{z})  multiplicity {len(inc)}  lines {list(inc)}")
     print(f"multiplicity histogram: {dict(sorted(lat.histogram().items()))}")
     print(f"essential: {is_essential(arr)}")
     print(f"divisible-point counts, k in {list(table.ks)}:")

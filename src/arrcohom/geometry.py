@@ -3,12 +3,14 @@
 Everything here is integer arithmetic. Lines and points are homogeneous
 coordinate triples kept in a canonical form (gcd-reduced, first nonzero
 entry positive), so equality and hashing are plain tuple operations and
-the intersection lattice can be assembled by dictionary grouping.
+the intersection lattice can be assembled by dictionary grouping. A point
+is just its canonical triple; no type wraps it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "ProjLine",
-    "ProjPoint",
     "ProjArrangement",
     "IntersectionLattice",
     "AffineArrangement",
@@ -62,7 +63,8 @@ class BadKError(ValueError):
 
 
 def _canonical(triple) -> tuple[int, int, int]:
-    a, b, c = (int(t) for t in triple)
+    # operator.index, not int: a float or a string is refused, not truncated
+    a, b, c = map(operator.index, triple)
     g = math.gcd(a, b, c)
     if not g:
         raise ZeroLineError("all three coordinates are zero")
@@ -84,27 +86,11 @@ class ProjLine:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _canonical(self.coeffs))
 
-    def contains(self, point: "ProjPoint") -> bool:
-        return _dot(self.coeffs, point.coords) == 0
+    def contains(self, point: tuple[int, int, int]) -> bool:
+        return _dot(self.coeffs, point) == 0
 
     def __str__(self) -> str:
         return "[{} {} {}]".format(*self.coeffs)
-
-
-@dataclass(frozen=True, order=True)
-class ProjPoint:
-    """A point (x : y : z), canonicalized on construction."""
-
-    coords: tuple[int, int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _canonical(self.coords))
-
-    def on(self, line: ProjLine) -> bool:
-        return line.contains(self)
-
-    def __str__(self) -> str:
-        return "({}:{}:{})".format(*self.coords)
 
 
 def parse_line(raw) -> ProjLine:
@@ -115,18 +101,17 @@ def parse_line(raw) -> ProjLine:
     return ProjLine(raw)
 
 
-def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """Exact intersection of two distinct lines (coefficient cross product)."""
+def intersect(l1: ProjLine, l2: ProjLine) -> tuple[int, int, int]:
+    """Exact intersection of two distinct lines: the canonical coefficient
+    cross product, computed pair by pair as an independent check of ``lattice``."""
     if l1 == l2:
         raise IdenticalLinesError(f"{l1} intersected with itself")
     u, v = l1.coeffs, l2.coeffs
-    return ProjPoint(
-        (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-    )
+    return _canonical((
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    ))
 
 
 @dataclass(frozen=True)
@@ -173,26 +158,21 @@ class ProjArrangement:
 @dataclass(frozen=True)
 class IntersectionLattice:
     """The points of a line arrangement in incidence-tuple order (see
-    ``lattice``): ``incidences`` holds each point's sorted lines, every two
-    lines sharing exactly one point, and ``coords`` their canonical
-    coordinates, empty when only incidences are known.
+    ``lattice``, the only constructor): ``incidences`` holds each point's
+    sorted lines, every two lines sharing exactly one point, and ``coords``
+    their canonical coordinate triples, which is all a point is.
     ``arrays``, the one array form every consumer reads, is (mult, flat,
     owner): each point's multiplicity, the incidences concatenated, and each
-    entry's point. ``points`` pairs coordinates and incidences as
-    ``ProjPoint`` objects, for display only. Both are built on first use."""
+    entry's point, built on first use."""
 
     incidences: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[int, int, int], ...] = ()
+    coords: tuple[tuple[int, int, int], ...]
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mult = np.fromiter(map(len, self.incidences), np.intp, len(self))
         flat = np.fromiter(chain.from_iterable(self.incidences), np.intp, int(mult.sum()))
         return mult, flat, np.repeat(np.arange(len(self)), mult)
-
-    @cached_property
-    def points(self) -> tuple[tuple[ProjPoint, tuple[int, ...]], ...]:
-        return tuple(zip(map(ProjPoint, self.coords), self.incidences))
 
     def __len__(self) -> int:
         return len(self.incidences)
@@ -208,7 +188,7 @@ def lattice(arr: ProjArrangement) -> IntersectionLattice:
     """Group the C(n+1, 2) pairwise intersections by coincident point, uncached.
 
     Pairs (i, j), i < j, run in order; each cross product, canonicalized as
-    in ``ProjPoint``, keys a dict. The point through lines l1 < l2 < ... is
+    in ``intersect``, keys a dict. The point through lines l1 < l2 < ... is
     first met at (l1, l2), and only the pairs (l1, k) extend its list, so it
     is sorted and complete. Two points never share two lines, so this
     first-pair order of the dict is incidence-tuple order: nothing is sorted.
@@ -243,25 +223,28 @@ def is_essential(arr: ProjArrangement) -> bool:
 
 @dataclass(frozen=True)
 class AffineArrangement:
-    """An affine arrangement as incidence data: n lines (generators 0..n-1),
-    their parallel classes, ordered by smallest member, and their finite
-    intersection points, all as sorted tuples of generator positions. No
-    coordinates are kept, so equality is combinatorial. ``decone`` relabels
-    a projective lattice into this form; the two degeneration models of
-    ``aomoto`` are written down directly.
+    """An affine arrangement as incidence data: its parallel classes,
+    ordered by smallest member, and its finite intersection points, all as
+    sorted tuples of generator positions. Every line lies in exactly one
+    class, so the classes partition the generators 0..n-1 and determine n.
+    No coordinates are kept, so equality is combinatorial. ``decone``
+    relabels a projective lattice into this form; the two degeneration
+    models of ``aomoto`` are written down directly.
     """
 
-    n: int
-    infinity_index: int
     classes: tuple[tuple[int, ...], ...]
     finite_points: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return sum(map(len, self.classes))
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
 
-def decone(arr: ProjArrangement, infinity_index: int) -> AffineArrangement:
+def decone(arr: ProjArrangement, h: int) -> AffineArrangement:
     """Send one line to infinity, reading classes and points off ``arr.lattice``.
 
     A lattice point through the infinity line h is the point at infinity of
@@ -270,23 +253,15 @@ def decone(arr: ProjArrangement, infinity_index: int) -> AffineArrangement:
     since classes are disjoint once h is removed, and the position map
     s -> s - (s > h) keeps every incidence tuple sorted.
     """
-    arr.check_index(infinity_index)
-    h = infinity_index
+    arr.check_index(h)
     classes, finite = [], []
     for inc in arr.lattice.incidences:
         if h in inc:
             classes.append(tuple(s - (s > h) for s in inc if s != h))
         else:
             finite.append(tuple(s - (s > h) for s in inc))
+    aff = AffineArrangement(tuple(classes), tuple(finite))
     # every affine line meets the infinity line exactly once
-    covered, n = sum(map(len, classes)), len(arr.lines) - 1
-    if covered != n:
-        raise RuntimeError(
-            f"parallel classes cover {covered} of {n} affine lines; this is a bug"
-        )
-    return AffineArrangement(
-        n=n,
-        infinity_index=infinity_index,
-        classes=tuple(classes),
-        finite_points=tuple(finite),
-    )
+    if aff.n != (n := len(arr.lines) - 1):
+        raise RuntimeError(f"parallel classes cover {aff.n} of {n} affine lines; this is a bug")
+    return aff

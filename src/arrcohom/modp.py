@@ -213,9 +213,6 @@ class FpMatrix(_FpArray):
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, shape={self.shape})"
 
-    def column(self, j: int) -> FpVector:
-        return FpVector(self.p, self.data[:, j])
-
     def rank(self) -> int:
         return len(_rref_raw(self.data, self.p)[1])
 

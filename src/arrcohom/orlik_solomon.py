@@ -117,10 +117,6 @@ class OSAlgebra:
 
     # ---- products --------------------------------------------------------
 
-    def pair_value(self, i: int, j: int) -> FpVector:
-        """Reduction of e_i wedge e_j into the degree 2 basis (i > j negates)."""
-        return self.wedge11(self.unit(i), self.unit(j))
-
     def _point_sums(self, x: np.ndarray) -> np.ndarray:
         # S_X(x) for every finite point X (one row per point), reduced mod p
         segment = np.add.reduceat(x[self._sym_line], self._sym_start, axis=0)

@@ -189,7 +189,7 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
     line gives empty lists."""
     lines = list(lines)
     for h in lines:
-        arr.check_index(h)  # numpy would wrap a negative index
+        arr.check_index(h)  # BadIndexError (exit 2) before any work; aomoto may not import it
     results = beta1_sweep(arr.lattice, lines, primes)
     if not lines:
         return results

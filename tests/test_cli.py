@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -12,7 +13,8 @@ from arrcohom.aomoto import Beta1Result
 from arrcohom.catalog import BUILTINS, build_named
 from arrcohom.cli import canonical_json, main
 from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
-from arrcohom.geometry import IntersectionLattice, decone
+from arrcohom.geometry import IntersectionLattice, decone, intersect
+from test_geometry import _huge_arrangement
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +69,39 @@ def test_lattice_output_is_pinned(capsys):
     # point coordinates, their order and both layouts, byte for byte
     assert run(capsys, "lattice", "--builtin", "braid-a3") == (0, BRAID_LATTICE_TEXT, "")
     assert run(capsys, "lattice", "--builtin", "braid-a3", "--json") == (0, BRAID_LATTICE_JSON, "")
+
+
+# `lattice` on the lines of _huge_arrangement(3), coordinates near 2**75 and
+# mixed signs: the SHA-256 of both layouts and the first point line, pinned
+# byte for byte
+HUGE_LATTICE_SHA256 = {
+    "text": "b3009fe3be5d68abc69a06e8752460cadf1c78b2d0332565d5a5a8950bbedfc6",
+    "json": "f23a74c196d7e6dbb77a7d33a9db78e0c6c5fb63059eafe7fd7e71a0debea04f",
+}
+HUGE_FIRST_POINT = ("  (73085919681429254841383:-60428516831734940910517:-66855278728940822121541)"
+                    "  multiplicity 3  lines [0, 1, 5]")
+
+
+def test_lattice_output_is_pinned_on_huge_coordinates(capsys, tmp_path):
+    arr = _huge_arrangement(3)
+    path = tmp_path / "huge.arr"
+    path.write_text("".join("{} {} {}\n".format(*line.coeffs) for line in arr.lines))
+    code, text, err = run(capsys, "lattice", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(text.encode()).hexdigest() == HUGE_LATTICE_SHA256["text"]
+    code, out, err = run(capsys, "lattice", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HUGE_LATTICE_SHA256["json"]
+    # each point, in both layouts, is the canonical meet of its first two lines
+    shown = text.splitlines()[1:]
+    assert shown[0] == HUGE_FIRST_POINT
+    points = json.loads(out)["points"]
+    assert max(abs(t) for item in points for t in item["point"]) > 2**70
+    for item, row in zip(points, shown):
+        i, j = item["lines"][:2]
+        pt = intersect(arr.lines[i], arr.lines[j])
+        assert item["point"] == list(pt)
+        assert row.startswith("  ({}:{}:{})  ".format(*pt))
 
 
 def test_lattice_pencil(capsys):

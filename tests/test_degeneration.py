@@ -23,7 +23,7 @@ from arrcohom.degeneration import (
     verify_homomorphism,
 )
 from arrcohom.geometry import AffineArrangement, decone
-from arrcohom.modp import FpMatrix, ModulusMismatchError
+from arrcohom.modp import FpMatrix, FpVector, ModulusMismatchError
 from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
 from conftest import box_sources
@@ -160,7 +160,7 @@ def test_broken_triple_relation_fails_verification(chunk, monkeypatch):
     for pos in range(aff.n):
         m[{cls[i]: 0, cls[j]: 1}.get(cls[pos], 2), pos] = 1
     deg1 = FpMatrix(p, m)
-    images = [deg1.column(pos) for pos in range(aff.n)]
+    images = [FpVector(p, deg1.data[:, pos]) for pos in range(aff.n)]
     for a, b in relation_pairs(aff):
         assert target.wedge11(images[a], images[b]).is_zero()
     bad = DegenerationMap(
@@ -173,9 +173,9 @@ def test_parallel_pair_relation_fails_where_products_agree():
     # the source's products are those of three generic lines, but its
     # arrangement makes lines 0 and 1 parallel: the identity onto the
     # generic lines agrees with every product and breaks only the relation
-    generic3 = AffineArrangement(3, 0, ((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)))
+    generic3 = AffineArrangement(((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)))
     src = OSAlgebra(generic3, 3)
-    src.aff = AffineArrangement(3, 0, ((0, 1), (2,)), ((0, 2), (1, 2)))
+    src.aff = AffineArrangement(((0, 1), (2,)), ((0, 2), (1, 2)))
     tgt = OSAlgebra(generic3, 3)
     deg1 = FpMatrix(3, np.eye(3, dtype=np.int64))
     dmap = DegenerationMap("total", None, src, tgt, deg1, induced_deg2(src, tgt, deg1))
@@ -348,7 +348,7 @@ def test_degree2_matrix_matches_wedges_exhaustively():
         dmap = delta_tot(aff, p)
         src, tgt = dmap.source, dmap.target
         for i, j in combinations(range(src.n), 2):
-            lhs = dmap.map2(src.pair_value(i, j))
+            lhs = dmap.map2(src.wedge11(src.unit(i), src.unit(j)))
             rhs = tgt.wedge11(dmap.map1(src.unit(i)), dmap.map1(src.unit(j)))
             assert lhs == rhs
 

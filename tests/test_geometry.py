@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from arrcohom.geometry import (
@@ -11,7 +12,6 @@ from arrcohom.geometry import (
     IdenticalLinesError,
     ProjArrangement,
     ProjLine,
-    ProjPoint,
     TooFewLinesError,
     ZeroLineError,
     decone,
@@ -38,6 +38,19 @@ from conftest import box_sources
 )
 def test_parse_line_canonicalizes(raw, expected):
     assert parse_line(raw).coeffs == expected
+
+
+def test_canonical_form_refuses_non_integers():
+    # refused, not truncated: 0.5 would become 0 and (1, 0.5, 0) the line x = 0
+    with pytest.raises(TypeError):
+        ProjArrangement.from_coeffs([(1, 0.5, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    with pytest.raises(TypeError):  # not a DuplicateLineError against (1, 0, 0)
+        ProjArrangement.from_coeffs([(1, 0.5, 0), (1, 0, 0), (0, 0, 1)])
+    with pytest.raises(TypeError):
+        parse_line(("1", 0, 0))
+    # numpy integers are integers, and become Python ints
+    coeffs = parse_line(np.array([2, -4, 6])).coeffs
+    assert coeffs == (1, -2, 3) and all(type(t) is int for t in coeffs)
 
 
 def test_parse_line_rejects_zero():
@@ -69,8 +82,8 @@ def test_canonical_form_is_scaling_invariant():
 )
 def test_intersect_examples(l1, l2, expected):
     pt = intersect(ProjLine(l1), ProjLine(l2))
-    assert pt == ProjPoint(expected)
-    assert pt.on(ProjLine(l1)) and pt.on(ProjLine(l2))
+    assert pt == expected
+    assert ProjLine(l1).contains(pt) and ProjLine(l2).contains(pt)
 
 
 def test_intersect_identical_lines():
@@ -103,7 +116,7 @@ def test_pencil_lattice():
     lat = lattice(catalog.pencil(4))
     assert len(lat) == 1
     assert lat.multiplicities() == [4]
-    assert lat.points[0][0] == ProjPoint((0, 0, 1))
+    assert lat.coords == ((0, 0, 1),)
 
 
 def _huge_arrangement(seed):
@@ -123,7 +136,7 @@ def _huge_arrangement(seed):
             q = rng.choice(finite)
             if q != pt:
                 # the line through two points: their cross product, by duality
-                lines.add(intersect(ProjLine(pt), ProjLine(q)).coords)
+                lines.add(intersect(ProjLine(pt), ProjLine(q)))
     lines = sorted(lines)
     rng.shuffle(lines)
     return ProjArrangement.from_coeffs(lines)
@@ -155,9 +168,7 @@ def test_lattice_against_pair_grouping(members):
         lat = lattice(arr)
         assert lat.incidences == tuple(sorted(lat.incidences))
         assert lat.incidences == tuple(inc for _, inc in expected)
-        assert lat.coords == tuple(pt.coords for pt, _ in expected)
-        assert "points" not in vars(lat)
-        assert lat.points == tuple(expected)
+        assert lat.coords == tuple(pt for pt, _ in expected)
 
 
 def test_pairing_completeness_and_pair_count(members):
@@ -165,7 +176,7 @@ def test_pairing_completeness_and_pair_count(members):
         lat = lattice(arr)
         n_plus_1 = len(arr.lines)
         for i, j in combinations(range(n_plus_1), 2):
-            hits = [inc for _, inc in lat.points if i in inc and j in inc]
+            hits = [inc for inc in lat.incidences if i in inc and j in inc]
             assert len(hits) == 1
         assert sum(comb(m, 2) for m in lat.multiplicities()) == comb(n_plus_1, 2)
 
@@ -183,7 +194,7 @@ def test_mu_generic_and_bounds():
         assert mu(arr, i, 3) == 0
     lat = lattice(arr)
     for i in range(3):
-        assert mu(arr, i, 2) <= sum(1 for _, inc in lat.points if i in inc)
+        assert mu(arr, i, 2) <= sum(1 for inc in lat.incidences if i in inc)
 
 
 def test_mu_errors(braid):
@@ -262,16 +273,13 @@ def test_one_lattice_per_arrangement(monkeypatch):
 
 @pytest.mark.parametrize("name", ["braid-a3", "pappus"])
 def test_points_stay_lazy(name):
-    # only lattice output builds ProjPoints; the verdicts read incidences
+    # the verdicts read incidences; mu_table and the sweep share one array form
     arr = catalog.build_named(name)
     report(arr)
-    assert "arrays" in vars(arr.lattice)  # mu_table and the sweep share it
+    assert "arrays" in vars(arr.lattice)
     beta1_by_line(arr, [2, 3], range(len(arr.lines)))
     for h in range(len(arr.lines)):
         degenerations(decone(arr, h), 3)
-    assert "points" not in vars(arr.lattice)
-    assert arr.lattice.points[0] == (ProjPoint(arr.lattice.coords[0]), arr.lattice.incidences[0])
-    assert "points" in vars(arr.lattice)
 
 
 def test_arrays_are_the_incidences(members):
@@ -318,7 +326,7 @@ def test_decone_roundtrip_and_counts(members):
                 assert len(inc) >= 2 and list(inc) == sorted(inc)
                 pt = intersect(line(inc[0]), line(inc[1]))
                 assert not inf_line.contains(pt)
-                assert all(pt.on(line(q)) for q in inc)
+                assert all(line(q).contains(pt) for q in inc)
                 finite.add(pt)
                 pairs += combinations(inc, 2)
             assert len(finite) == len(aff.finite_points)

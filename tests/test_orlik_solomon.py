@@ -55,14 +55,14 @@ def test_brieskorn_dimension_matches_point_defects(members):
         assert OSAlgebra(aff, 3).dim2 == expected
 
 
-def test_pair_value_zero_iff_parallel(members):
+def test_pair_wedge_zero_iff_parallel(members):
     for name, arr in members[:8] + [("braid-a3", catalog.braid_a3())]:
         aff = decone(arr, 0)
         for p in (2, 5):
             alg = OSAlgebra(aff, p)
             classes = {q: a for a, c in enumerate(aff.classes) for q in c}
             for i, j in combinations(range(alg.n), 2):
-                value = alg.pair_value(i, j)
+                value = alg.wedge11(alg.unit(i), alg.unit(j))
                 if classes[i] == classes[j]:
                     assert value.is_zero()
                 else:
@@ -75,8 +75,10 @@ def test_triple_relation_holds_exhaustively(members):
             aff = decone(arr, infinity)
             for p in (2, 3, 5):
                 alg = OSAlgebra(aff, p)
+                e = alg.unit
                 for i, j, k in relation_triples(aff):
-                    alt = alg.pair_value(i, j) - alg.pair_value(i, k) + alg.pair_value(j, k)
+                    alt = (alg.wedge11(e(i), e(j)) - alg.wedge11(e(i), e(k))
+                           + alg.wedge11(e(j), e(k)))
                     assert alt.is_zero()
 
 
@@ -106,7 +108,7 @@ def test_central_wedge_formula():
             total = sum(xi) % p
             for i in range(s - 1):
                 lhs = alg.wedge11(xi, alg.unit(i) - alg.unit(i + 1))
-                assert lhs == FpVector(p, -total * alg.pair_value(i, i + 1).data)
+                assert lhs == FpVector(p, -total * alg.wedge11(alg.unit(i), alg.unit(i + 1)).data)
 
 
 def test_parallel_wedge_formula():
@@ -120,7 +122,8 @@ def test_parallel_wedge_formula():
             eta = alg.deg1(c + [0])
             expected = FpVector(p, np.zeros(alg.dim2, dtype=np.int64))
             for i in range(r):
-                expected = expected + FpVector(p, -xi[r] * c[i] * alg.pair_value(i, r).data)
+                pair = alg.wedge11(alg.unit(i), alg.unit(r))
+                expected = expected + FpVector(p, -xi[r] * c[i] * pair.data)
             assert alg.wedge11(xi, eta) == expected
 
 
@@ -159,10 +162,12 @@ def test_oracle_pair_reductions_agree():
             orc = QuotientOSOracle(aff, p)
             pairs = list(combinations(range(aff.n), 2))
             for i, j in pairs:
-                assert alg.pair_value(i, j).is_zero() == (not orc.pair_reduction(i, j).any())
+                value = alg.wedge11(alg.unit(i), alg.unit(j))
+                assert value.is_zero() == (not orc.pair_reduction(i, j).any())
             for _ in range(20):
                 subset = rng.sample(pairs, rng.randint(1, len(pairs)))
-                built = np.stack([alg.pair_value(i, j).data for i, j in subset])
+                built = np.stack([alg.wedge11(alg.unit(i), alg.unit(j)).data
+                                  for i, j in subset])
                 rank_built = len(_rref_raw(built, p)[1])
                 units = []
                 for i, j in subset:
@@ -170,7 +175,7 @@ def test_oracle_pair_reductions_agree():
                     u[orc._pair_index(i, j)] = 1
                     units.append(u)
                 assert rank_built == orc.rank_modulo_relations(units)
-            full = np.stack([alg.pair_value(i, j).data for i, j in pairs])
+            full = np.stack([alg.wedge11(alg.unit(i), alg.unit(j)).data for i, j in pairs])
             assert len(_rref_raw(full, p)[1]) == alg.dim2 == orc.dim2
 
 
@@ -183,7 +188,7 @@ def test_cross_class_pairs_independent(members):
                 pairs = [(i, j) for i in cls for j in range(aff.n) if j not in cls]
                 if not pairs:
                     continue
-                rows = np.stack([alg.pair_value(i, j).data for i, j in pairs])
+                rows = np.stack([alg.wedge11(alg.unit(i), alg.unit(j)).data for i, j in pairs])
                 assert len(_rref_raw(rows, p)[1]) == len(pairs)
 
 
@@ -214,7 +219,7 @@ def test_wedge_matches_oracle_on_box_arrangements():
             orc = QuotientOSOracle(aff, p)
             assert alg.dim2 == orc.dim2
             pairs = list(combinations(range(aff.n), 2))
-            values = [alg.pair_value(i, j) for i, j in pairs]
+            values = [alg.wedge11(alg.unit(i), alg.unit(j)) for i, j in pairs]
             for (i, j), value in zip(pairs, values):
                 assert value.is_zero() == (not orc.pair_reduction(i, j).any())
             x, y, z = (alg.deg1([rng.randrange(p) for _ in range(aff.n)]) for _ in range(3))
@@ -251,11 +256,12 @@ def test_block_wedge_matches_columns_and_oracle(data):
     assert block.shape == (alg.dim2, k)
     orc = QuotientOSOracle(aff, p)
     table = FpMatrix(p, np.stack(
-        [alg.pair_value(i, j).data for i, j in combinations(range(aff.n), 2)], axis=1
+        [alg.wedge11(alg.unit(i), alg.unit(j)).data
+         for i, j in combinations(range(aff.n), 2)], axis=1
     ))
     for c in range(k):
         column = alg.wedge11(FpVector(p, x[:, c]), FpVector(p, y[:, c]))
-        assert block.column(c) == column
+        assert FpVector(p, block.data[:, c]) == column
         assert column == table @ FpVector(p, orc.pair_coords(x[:, c], y[:, c]))
 
 

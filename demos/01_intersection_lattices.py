@@ -2,8 +2,10 @@
 """Exact projective geometry: lattices, multiplicities, deconing.
 
 Every line is an integer triple (a, b, c) for a*x + b*y + c*z = 0,
-stored gcd-reduced with the first nonzero coefficient positive. A point
-is the same kind of canonical triple (x, y, z), printed here as (x:y:z).
+stored gcd-reduced with the first nonzero coefficient positive. parse_line
+gives that canonical triple, an arrangement's lines are these triples, and
+they are printed here as [a b c]. A point is the same kind of canonical
+triple (x, y, z), printed here as (x:y:z).
 That makes intersection grouping exact: no epsilons anywhere.
 """
 
@@ -13,12 +15,12 @@ from arrcohom.catalog import braid_a3, generic, pencil
 # canonicalization in action
 print("canonical forms:")
 for raw in [(0, 0, 2), (-1, 1, 0), (2, -4, 6)]:
-    print(f"  {raw} -> {parse_line(raw).coeffs}")
+    print(f"  {raw} -> {parse_line(raw)}")
 
 # two lines meet in exactly one point, computed as a cross product
-point = "({}:{}:{})".format
+point, line = "({}:{}:{})".format, "[{} {} {}]".format
 l1, l2 = parse_line((1, -1, 0)), parse_line((1, 0, -1))
-print(f"\n{l1} meets {l2} at {point(*intersect(l1, l2))}")
+print(f"\n{line(*l1)} meets {line(*l2)} at {point(*intersect(l1, l2))}")
 
 # the six-line braid arrangement x y z (x-y)(x-z)(y-z); its intersection
 # lattice is computed on first use and kept on the arrangement, so mu and

@@ -38,7 +38,6 @@ from .geometry import (
     IdenticalLinesError,
     IntersectionLattice,
     ProjArrangement,
-    ProjLine,
     TooFewLinesError,
     ZeroLineError,
     decone,

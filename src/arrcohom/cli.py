@@ -35,6 +35,7 @@ from .geometry import (
     ProjArrangement,
     TooFewLinesError,
     ZeroLineError,
+    _show,
     decone,
     is_essential,
 )
@@ -57,7 +58,7 @@ def canonical_json(obj) -> str:
 
 def read_arrangement_file(path: str) -> ProjArrangement:
     try:
-        content = Path(path).read_text()
+        content = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     triples = []
@@ -113,7 +114,7 @@ def cmd_lattice(args) -> int:
     print(f"essential: {is_essential(arr)}")
     print(f"divisible-point counts, k in {list(table.ks)}:")
     for i, row in enumerate(table.rows):
-        print(f"  line {i} {arr.lines[i]}: {list(row)}")
+        print(f"  line {i} {_show(arr.lines[i])}: {list(row)}")
     return EXIT_OK
 
 

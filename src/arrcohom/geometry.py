@@ -3,8 +3,9 @@
 Everything here is integer arithmetic. Lines and points are homogeneous
 coordinate triples kept in a canonical form (gcd-reduced, first nonzero
 entry positive), so equality and hashing are plain tuple operations and
-the intersection lattice can be assembled by dictionary grouping. A point
-is just its canonical triple; no type wraps it.
+the intersection lattice can be assembled by dictionary grouping. A line
+and a point are each just their canonical triple, which ``parse_line``
+produces; no type wraps either.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import chain
 import numpy as np
 
 __all__ = [
-    "ProjLine",
     "ProjArrangement",
     "IntersectionLattice",
     "AffineArrangement",
@@ -62,9 +62,15 @@ class BadKError(ValueError):
     """Divisibility threshold must be at least 2."""
 
 
-def _canonical(triple) -> tuple[int, int, int]:
+def parse_line(raw) -> tuple[int, int, int]:
+    """The canonical form of the line a*x + b*y + c*z = 0 given by an integer
+    triple: gcd-reduced, first nonzero entry positive. The same rule makes a
+    point's triple canonical, and it is the only form a line takes."""
+    raw = tuple(raw)
+    if len(raw) != 3:
+        raise ZeroLineError(f"expected three coefficients, got {len(raw)}")
     # operator.index, not int: a float or a string is refused, not truncated
-    a, b, c = map(operator.index, triple)
+    a, b, c = map(operator.index, raw)
     g = math.gcd(a, b, c)
     if not g:
         raise ZeroLineError("all three coordinates are zero")
@@ -73,75 +79,51 @@ def _canonical(triple) -> tuple[int, int, int]:
     return a // g, b // g, c // g
 
 
-def _dot(u, v) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _show(line) -> str:
+    # how messages and ``lattice`` output print a line
+    return "[{} {} {}]".format(*line)
 
 
-@dataclass(frozen=True, order=True)
-class ProjLine:
-    """A line a*x + b*y + c*z = 0, canonicalized on construction."""
-
-    coeffs: tuple[int, int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _canonical(self.coeffs))
-
-    def contains(self, point: tuple[int, int, int]) -> bool:
-        return _dot(self.coeffs, point) == 0
-
-    def __str__(self) -> str:
-        return "[{} {} {}]".format(*self.coeffs)
-
-
-def parse_line(raw) -> ProjLine:
-    """Canonicalize an integer coefficient triple into a ProjLine."""
-    raw = tuple(raw)
-    if len(raw) != 3:
-        raise ZeroLineError(f"expected three coefficients, got {len(raw)}")
-    return ProjLine(raw)
-
-
-def intersect(l1: ProjLine, l2: ProjLine) -> tuple[int, int, int]:
-    """Exact intersection of two distinct lines: the canonical coefficient
-    cross product, computed pair by pair as an independent check of ``lattice``."""
-    if l1 == l2:
-        raise IdenticalLinesError(f"{l1} intersected with itself")
-    u, v = l1.coeffs, l2.coeffs
-    return _canonical((
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ))
+def intersect(u, v) -> tuple[int, int, int]:
+    """Exact intersection of two distinct lines, given as integer triples: the
+    canonical cross product, computed pair by pair as an independent check of
+    ``lattice``. Proportional triples are the same line."""
+    (a, b, c), (d, e, f) = u, v
+    cross = (b * f - c * e, c * d - a * f, a * e - b * d)
+    if not any(cross):
+        raise IdenticalLinesError(f"{_show(u)} intersected with itself")
+    return parse_line(cross)
 
 
 @dataclass(frozen=True)
 class ProjArrangement:
     """An ordered collection of at least three pairwise distinct lines.
 
-    Line indices run 0..n, so an arrangement has n + 1 lines. Duplicates
-    are rejected outright since every multiplicity count downstream
-    assumes a simple arrangement. The intersection lattice is computed on
-    first use and kept on the instance, so it always belongs to these lines.
+    Line indices run 0..n, so an arrangement has n + 1 lines, each kept as
+    its canonical triple (``parse_line``) however it was given. Duplicates
+    are rejected outright since every multiplicity count downstream assumes
+    a simple arrangement. The intersection lattice is computed on first use
+    and kept on the instance, so it always belongs to these lines.
     """
 
-    lines: tuple[ProjLine, ...]
+    lines: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        lines = tuple(self.lines)
+        lines = tuple(map(parse_line, self.lines))
         object.__setattr__(self, "lines", lines)
         if len(lines) < 3:
             raise TooFewLinesError(f"need at least 3 lines, got {len(lines)}")
-        seen: dict[ProjLine, int] = {}
+        seen: dict[tuple[int, int, int], int] = {}
         for i, line in enumerate(lines):
             if line in seen:
                 raise DuplicateLineError(
-                    f"lines {seen[line]} and {i} coincide after canonicalization: {line}"
+                    f"lines {seen[line]} and {i} coincide after canonicalization: {_show(line)}"
                 )
             seen[line] = i
 
     @classmethod
     def from_coeffs(cls, triples) -> "ProjArrangement":
-        return cls(tuple(parse_line(t) for t in triples))
+        return cls(triples)
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -193,10 +175,9 @@ def lattice(arr: ProjArrangement) -> IntersectionLattice:
     is sorted and complete. Two points never share two lines, so this
     first-pair order of the dict is incidence-tuple order: nothing is sorted.
     """
-    coeffs = [line.coeffs for line in arr.lines]
     incident: dict[tuple[int, int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(coeffs):
-        for j, (d, e, f) in enumerate(coeffs[i + 1:], i + 1):
+    for i, (a, b, c) in enumerate(arr.lines):
+        for j, (d, e, f) in enumerate(arr.lines[i + 1:], i + 1):
             x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
             g = math.gcd(x, y, z)
             if x < 0 or not x and (y < 0 or not y and z < 0):

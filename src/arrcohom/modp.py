@@ -58,10 +58,11 @@ def is_prime(p: int) -> bool:
 
 def _check_modulus(p) -> int:
     p = int(p)
-    if not is_prime(p):
-        raise NotPrimeError(f"modulus {p} is not prime")
+    # the bound first: trial division up to sqrt(p) is slow for a huge p
     if p >= _MAX_MODULUS:
         raise NotPrimeError(f"modulus {p} is too large, need p < 2**31")
+    if not is_prime(p):
+        raise NotPrimeError(f"modulus {p} is not prime")
     return p
 
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from arrcohom import catalog
-from arrcohom.geometry import ProjArrangement, ProjLine, decone
+from arrcohom.geometry import ProjArrangement, decone, parse_line
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +26,7 @@ def box_sources(count, seed):
     whose deconing at line 0 has a finite point of multiplicity above 5 or
     a single parallel class are redrawn.
     """
-    box = {ProjLine(t).coeffs for t in product(range(-2, 3), repeat=3) if any(t)}
+    box = {parse_line(t) for t in product(range(-2, 3), repeat=3) if any(t)}
     box = sorted(box - {(0, 0, 1)})
     rng = random.Random(seed)
     out = []

@@ -85,7 +85,7 @@ HUGE_FIRST_POINT = ("  (73085919681429254841383:-60428516831734940910517:-668552
 def test_lattice_output_is_pinned_on_huge_coordinates(capsys, tmp_path):
     arr = _huge_arrangement(3)
     path = tmp_path / "huge.arr"
-    path.write_text("".join("{} {} {}\n".format(*line.coeffs) for line in arr.lines))
+    path.write_text("".join("{} {} {}\n".format(*line) for line in arr.lines))
     code, text, err = run(capsys, "lattice", str(path))
     assert (code, err) == (0, "")
     assert hashlib.sha256(text.encode()).hexdigest() == HUGE_LATTICE_SHA256["text"]
@@ -323,8 +323,9 @@ def test_exit_zero_line(capsys, tmp_path):
 def test_exit_duplicate_lines(capsys, tmp_path):
     path = tmp_path / "dup.arr"
     path.write_text("1 0 0\n2 0 0\n0 1 0\n")
-    code, _, _ = run(capsys, "lattice", str(path))
-    assert code == 3
+    code, out, err = run(capsys, "lattice", str(path))
+    assert (code, out) == (3, "")
+    assert err == "invalid arrangement: lines 0 and 1 coincide after canonicalization: [1 0 0]\n"
 
 
 def test_exit_parse_error(capsys, tmp_path):
@@ -345,6 +346,21 @@ def test_exit_non_utf8_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_utf8_file_read_under_any_locale(capsys, tmp_path):
+    # a UTF-8 comment reads the same under the POSIX locale, whose default
+    # encoding is ASCII, as in-process
+    path = tmp_path / "cafe.arr"
+    path.write_bytes("# café\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n".encode())
+    code, expected, _ = run(capsys, "lattice", str(path))
+    assert code == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "POSIX",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-m", "arrcohom.cli", "lattice", str(path)],
+                          env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == expected
+
+
 def test_exit_directory_input(capsys, tmp_path):
     code, _, err = run(capsys, "beta1", str(tmp_path), "--prime", "3")
     assert code == 2
@@ -355,6 +371,18 @@ def test_exit_not_prime(capsys):
     code, _, err = run(capsys, "beta1", "--builtin", "braid-a3", "--prime", "4")
     assert code == 4
     assert "not prime" in err
+
+
+def test_exit_huge_prime_at_once():
+    # 2**61 - 1 is prime, and trial division up to its square root would run
+    # for hours: the size bound comes first. Run with a timeout, so that a
+    # regression fails here instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "arrcohom.cli", "beta1", "--builtin",
+                           "braid-a3", "--prime", str(2**61 - 1)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert "too large" in proc.stderr
 
 
 def test_exit_not_prime_without_maps(capsys):

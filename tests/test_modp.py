@@ -30,7 +30,7 @@ def test_is_prime():
     assert not is_prime(-7)
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, 2**31])
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, 2**31, 2**61 - 1])
 def test_bad_modulus_rejected(p):
     with pytest.raises(NotPrimeError):
         FpMatrix(p, [[1]])

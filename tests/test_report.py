@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from arrcohom import aomoto, catalog
 from arrcohom.aomoto import Beta1Result, beta1_full
-from arrcohom.geometry import BadIndexError, ProjArrangement, ProjLine, decone, is_essential, mu
+from arrcohom.geometry import (
+    BadIndexError,
+    ProjArrangement,
+    decone,
+    is_essential,
+    mu,
+    parse_line,
+)
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 from arrcohom.report import (
     BOUNDED_BY_PS,
@@ -320,7 +327,7 @@ def test_report_bound_is_every_deconings_bound(sources):
         _assert_one_bound(arr, i % len(arr.lines))
 
 
-_BOX = sorted({ProjLine(t).coeffs for t in product(range(-3, 4), repeat=3) if any(t)})
+_BOX = sorted({parse_line(t) for t in product(range(-3, 4), repeat=3) if any(t)})
 
 
 @st.composite
@@ -331,7 +338,7 @@ def forced_boxes(draw):
     x0, y0 = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
     through = [c for c in _BOX if c[0] * x0 + c[1] * y0 + c[2] == 0]
     a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]))
-    parallel = [ProjLine((a, b, c)).coeffs for c in range(-3, 4)]
+    parallel = [parse_line((a, b, c)) for c in range(-3, 4)]
     lines = {(0, 0, 1)}
     lines.update(draw(st.lists(st.sampled_from(through), min_size=3, max_size=5, unique=True)))
     lines.update(draw(st.lists(st.sampled_from(parallel), min_size=2, max_size=4,

@@ -7,15 +7,15 @@ transversal. Both are materialized as matrices on the degree 1 and
 degree 2 coordinates. ``delta_tot`` and ``delta_dir`` build one map each,
 unverified; ``degenerations`` builds a deconing's whole family over one
 shared source algebra and verifies it in one ``verify_homomorphism``
-call. A family that fails is a bug and raises, so every map it returns
-carries ``verified=True``.
+call, in the direct sum of its targets. A family that fails is a bug and
+raises, so every map it returns carries ``verified=True``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 
@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # Pairs and triples are checked this many at a time, so that no temporary
-# grows with the number of line pairs or with the triples of a large point.
+# grows with the number of line pairs or with the triples of a large point:
+# each holds this many columns of the family's stacked target dim2.
 _CHUNK = 256
 # Seed of the random one-form pairs in the last stage of verification.
 _SEED = 0
@@ -148,22 +149,14 @@ def _chunks(tuples):
         yield np.array(block, dtype=np.intp).T
 
 
-def _image_wedges(dmap: DegenerationMap, i, j) -> FpMatrix:
-    images = dmap.deg1_matrix
-    return dmap.target.wedge11(_columns(images, i), _columns(images, j))
-
-
-def _relations_hold(dmap: DegenerationMap) -> bool:
-    """Every parallel pair and concurrent triple of the source maps to zero."""
-    for i, j in _chunks(relation_pairs(dmap.source.aff)):
-        if not _image_wedges(dmap, i, j).is_zero():
-            return False
-    for i, j, k in _chunks(relation_triples(dmap.source.aff)):
-        alt = (_image_wedges(dmap, i, j).data - _image_wedges(dmap, i, k).data
-               + _image_wedges(dmap, j, k).data)
-        if (alt % dmap.target.p).any():
-            return False
-    return True
+def _direct_sum(algs) -> OSAlgebra:
+    """``algs`` side by side, generators and points shifted apart in order. No
+    product mixes two points, so the sum's products are the summands' stacked."""
+    classes, points = [], []
+    for alg, s in zip(algs, accumulate((a.n for a in algs), initial=0)):
+        classes += [tuple(s + i for i in c) for c in alg.aff.classes]
+        points += [tuple(s + i for i in inc) for inc in alg.aff.finite_points]
+    return OSAlgebra(AffineArrangement(tuple(classes), tuple(points)), algs[0].p)
 
 
 def _gather_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -182,38 +175,45 @@ def verify_homomorphism(*dmaps: DegenerationMap, trials: int = 20) -> bool:
     """Check that every map kills every source relation and is multiplicative.
 
     Relation generators (parallel pairs and concurrent triples) are checked
-    exhaustively per map, then each degree 2 matrix is compared against the
-    wedge of degree 1 images on every pair and on `trials` seeded random
-    one-form pairs. The maps share their source, whose products are computed
-    once, in blocks of columns, and pushed through all degree 2 matrices at
-    once: a unit pair's product has at most two nonzero entries (two lines
-    meet in one point), so those blocks gather columns instead of multiplying.
+    exhaustively, then each degree 2 matrix is compared against the wedge
+    of degree 1 images on every pair and on `trials` seeded random one-form
+    pairs. Each stage runs once for the whole family, in blocks of columns:
+    the shared source's products go through the stacked degree 2 matrices
+    (a unit pair's product has at most two nonzero entries, as two lines
+    meet in one point, so those blocks gather columns), and the images are
+    wedged in the direct sum of the targets, whose products are the maps'
+    products stacked in order.
     """
     if not dmaps:
         raise ValueError("verify_homomorphism needs at least one map")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     src = dmaps[0].source
     if any(d.source.aff != src.aff or d.source.p != src.p for d in dmaps):
         raise ValueError("maps verified together must share their source arrangement and prime")
-    if not all(_relations_hold(d) for d in dmaps):
-        return False
+    if any(m.p != src.p for d in dmaps for m in (d.target, d.deg1_matrix, d.deg2_matrix)):
+        raise ModulusMismatchError(f"every map verified over p={src.p} must be over it throughout")
+    target = _direct_sum([d.target for d in dmaps])
+    deg1 = FpMatrix(src.p, np.vstack([d.deg1_matrix.data for d in dmaps]))
     deg2 = FpMatrix(src.p, np.vstack([d.deg2_matrix.data for d in dmaps]))
-    bounds = np.cumsum([0] + [d.deg2_matrix.rows for d in dmaps])
 
-    def agrees(stacked: np.ndarray, image_wedges) -> bool:
-        # rows bounds[k]:bounds[k + 1] of the stacked image belong to map k
-        return all(np.array_equal(stacked[lo:hi], image_wedges(d).data)
-                   for d, lo, hi in zip(dmaps, bounds, bounds[1:]))
+    def image_wedges(i, j) -> np.ndarray:
+        return target.wedge11(_columns(deg1, i), _columns(deg1, j)).data
 
+    for i, j in _chunks(relation_pairs(src.aff)):
+        if image_wedges(i, j).any():
+            return False
+    for i, j, k in _chunks(relation_triples(src.aff)):
+        if ((image_wedges(i, j) - image_wedges(i, k) + image_wedges(j, k)) % src.p).any():
+            return False
     units = FpMatrix(src.p, np.eye(src.n, dtype=np.int64))
     for i, j in _chunks(combinations(range(src.n), 2)):
         products = src.wedge11(_columns(units, i), _columns(units, j))
-        if not agrees(_gather_mod(deg2.data, products.data, src.p),
-                      lambda d: _image_wedges(d, i, j)):
+        if not np.array_equal(_gather_mod(deg2.data, products.data, src.p), image_wedges(i, j)):
             return False
     draws = random.Random(_SEED).choices(range(src.p), k=2 * src.n * trials)
     x, y = (FpMatrix(src.p, d) for d in np.array(draws, dtype=np.int64).reshape(2, src.n, trials))
-    return agrees((deg2 @ src.wedge11(x, y)).data,
-                  lambda d: d.target.wedge11(d.deg1_matrix @ x, d.deg1_matrix @ y))
+    return (deg2 @ src.wedge11(x, y)) == target.wedge11(deg1 @ x, deg1 @ y)
 
 
 def _describe(dmap: DegenerationMap) -> str:

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcohom import catalog, degeneration
-from arrcohom.aomoto import parallel_fixture, sum_zero_basis
+from arrcohom.aomoto import central_fixture, parallel_fixture, sum_zero_basis
 from arrcohom.degeneration import (
     BadClassError,
     DegenerationMap,
     NoTransversalError,
     TooFewClassesError,
+    _direct_sum,
     _gather_mod,
     class_sums,
     degenerations,
@@ -287,8 +288,10 @@ def test_family_shares_one_source_algebra(aff, p, monkeypatch):
     maps = degenerations(aff, p)
     assert len(maps) == 1 + aff.num_classes
     assert all(d.source is maps[0].source for d in maps)
-    # one source, then one target per map
-    assert len(built) == 1 + len(maps)
+    # one source, one target per map, then the targets' direct sum that
+    # verification wedges the whole family in
+    assert len(built) == 2 + len(maps)
+    assert built[-1].n == sum(d.target.n for d in maps)
 
 
 def test_constructors_share_a_given_source_algebra():
@@ -305,6 +308,63 @@ def test_constructors_share_a_given_source_algebra():
 def test_verify_rejects_no_maps():
     with pytest.raises(ValueError, match="at least one map"):
         verify_homomorphism()
+
+
+def test_verify_rejects_a_map_over_another_prime():
+    # a later map whose target or matrices live over another prime is
+    # refused, not reduced mod the source's prime
+    family = degenerations(fig3_affine(), 3)
+    last = family[-1]
+    foreign = [replace(last, target=OSAlgebra(last.target.aff, 5)),
+               replace(last, deg1_matrix=FpMatrix(5, last.deg1_matrix.data)),
+               replace(last, deg2_matrix=FpMatrix(5, last.deg2_matrix.data))]
+    for bad in foreign:
+        with pytest.raises(ModulusMismatchError):
+            verify_homomorphism(*family[:-1], bad)
+
+
+def test_verify_rejects_negative_trials():
+    dmap = delta_tot(fig3_affine(), 3)
+    with pytest.raises(ValueError, match="trials"):
+        verify_homomorphism(dmap, trials=-3)
+    assert verify_homomorphism(dmap, trials=0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_direct_sum_products_are_stacked_summand_products(p):
+    rng = np.random.default_rng(p)
+    algs = [OSAlgebra(aff, p) for aff in
+            [central_fixture(s) for s in (2, 3, 5)] + [parallel_fixture(r) for r in (1, 2, 4)]
+            + [fig3_affine()]]
+    total = _direct_sum(algs)
+    assert total.n == sum(a.n for a in algs)
+    assert total.dim2 == sum(a.dim2 for a in algs)
+    xs, ys = ([FpMatrix(p, rng.integers(0, p, size=(a.n, 7))) for a in algs] for _ in range(2))
+    stacked = total.wedge11(FpMatrix(p, np.vstack([x.data for x in xs])),
+                            FpMatrix(p, np.vstack([y.data for y in ys])))
+    assert stacked == FpMatrix(p, np.vstack([a.wedge11(x, y).data
+                                             for a, x, y in zip(algs, xs, ys)]))
+
+
+def test_family_verification_wedges_once_per_stage(monkeypatch):
+    # the images of the whole family are wedged together, so a family costs
+    # as many wedge11 calls as its first map alone
+    arr = next(a for a in box_sources(60, seed=1) if decone(a, 0).num_classes >= 8)
+    family = degenerations(decone(arr, 0), 3)
+    calls = []
+    honest = OSAlgebra.wedge11
+
+    def counting(self, x, y):
+        calls.append(self)
+        return honest(self, x, y)
+
+    monkeypatch.setattr(OSAlgebra, "wedge11", counting)
+    assert verify_homomorphism(family[0])
+    alone = len(calls)
+    calls.clear()
+    assert verify_homomorphism(*family)
+    assert len(family) >= 9
+    assert len(calls) == alone
 
 
 def test_verify_rejects_maps_over_different_sources():

@@ -9,8 +9,9 @@ is one JSON document), ``degenerate`` (the deconing's total and
 directional degeneration matrices and the result of verifying them
 together as one family), ``report`` (full vanishing report; each prime
 divides the degree, so its bound is read at line 0 alone). Arrangements
-come from a file (one line per projective line, three integers, ``#``
-comments) or from ``--builtin`` (``--m`` sizes the parametric ones).
+come from a file (UTF-8, one line per projective line, three ASCII
+integers, ``#`` comments) or from ``--builtin`` (``--m`` sizes the
+parametric ones).
 
 Exit codes: 0 success, 1 an internal consistency check failed (a bug,
 reported with a traceback: e.g. deconings that disagree although p divides
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -56,9 +58,13 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+# an input token: ASCII digits only, so no "1_0" and no non-ASCII digit
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def read_arrangement_file(path: str) -> ProjArrangement:
-    try:
-        content = Path(path).read_text(encoding="utf-8")
+    try:  # utf-8-sig: a leading byte-order mark is skipped
+        content = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     triples = []
@@ -67,11 +73,11 @@ def read_arrangement_file(path: str) -> ProjArrangement:
         if not text:
             continue
         parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected three integers, got {raw!r}")
         try:
+            if len(parts) != 3 or not all(_INTEGER.fullmatch(t) for t in parts):
+                raise ValueError
             triples.append(tuple(int(t) for t in parts))
-        except ValueError:
+        except ValueError:  # also an integer past int's digit limit
             raise ParseError(f"{path}:{lineno}: expected three integers, got {raw!r}") from None
     if not triples:
         raise ParseError(f"{path}: no lines found")

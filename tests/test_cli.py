@@ -338,6 +338,31 @@ def test_exit_parse_error(capsys, tmp_path):
     assert run(capsys, "lattice", str(path2))[0] == 2
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "1.0", "0x1", "+-1"],
+                         ids=["underscore", "arabic-indic", "fullwidth", "float", "hex", "signs"])
+def test_exit_token_not_an_ascii_integer(capsys, tmp_path, token):
+    # int() reads "1_0" as 10 and the Arabic-Indic and fullwidth digits as
+    # 1; a token is ASCII [+-]?[0-9]+ and nothing else
+    path = tmp_path / "token.arr"
+    path.write_text(f"{token} 0 1\n0 1 0\n0 0 1\n1 1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "lattice", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:1: expected three integers, got {f'{token} 0 1'!r}\n"
+
+
+def test_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    body = "1 0 0\n0 1 0\n0 0 1\n1 1 1\n"
+    plain, marked = tmp_path / "plain.arr", tmp_path / "bom.arr"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    expected = run(capsys, "lattice", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "lattice", str(marked)) == expected
+    # only a leading mark: one inside the file is a bad token
+    marked.write_bytes(body.encode() + b"\xef\xbb\xbf1 2 3\n")
+    assert run(capsys, "lattice", str(marked))[0] == 2
+
+
 def test_exit_non_utf8_file(capsys, tmp_path):
     path = tmp_path / "latin1.arr"
     path.write_bytes(b"1 0 0\n0 1 0\n0 0 1 # \xe9\n")

@@ -4,8 +4,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arrcohom import catalog, degeneration
 from arrcohom.aomoto import central_fixture, parallel_fixture, sum_zero_basis
@@ -15,7 +13,6 @@ from arrcohom.degeneration import (
     NoTransversalError,
     TooFewClassesError,
     _direct_sum,
-    _gather_mod,
     class_sums,
     degenerations,
     delta_dir,
@@ -462,30 +459,3 @@ def test_degeneration_errors():
         delta_dir(pencil_aff, 0, 3)
     with pytest.raises(BadClassError):
         delta_dir(fig3_affine(), 7, 3)
-
-
-@st.composite
-def sparse_products(draw):
-    """A prime, a residue matrix a and a residue matrix b that is empty,
-    dense, or holds at most two nonzeros a column like a unit pair's product."""
-    p = draw(st.sampled_from((2, 3, 5, 2**31 - 1)))
-    kind = draw(st.sampled_from(["empty", "dense", "pairs"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows, inner, cols = (draw(st.integers(0, 40)) for _ in range(3))
-    a = rng.integers(0, p, size=(rows, inner))
-    if kind == "empty":
-        return p, a, np.zeros((inner, cols), dtype=np.int64)
-    if kind == "dense":
-        return p, a, rng.integers(0, p, size=(inner, cols))
-    b = np.zeros((inner, cols), dtype=np.int64)
-    for c in range(cols):
-        k = min(inner, int(rng.integers(0, 3)))
-        b[rng.choice(inner, size=k, replace=False), c] = rng.integers(1, p, size=k)
-    return p, a, b
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(case=sparse_products())
-def test_gather_equals_matrix_product(case):
-    p, a, b = case
-    assert np.array_equal(_gather_mod(a, b, p), (FpMatrix(p, a) @ FpMatrix(p, b)).data)

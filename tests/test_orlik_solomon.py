@@ -276,3 +276,37 @@ def test_block_wedge_rejects_mismatched_operands():
         alg.wedge11(good, FpMatrix(3, np.ones((alg.n, 3), dtype=np.int64)))
     with pytest.raises(TypeError):
         alg.wedge11(good, alg.ones())
+
+
+def test_unit_pairs_are_the_products_in_closed_form(members):
+    # each pair of the table, as the degree 2 vector symbol s_v minus symbol
+    # s_u, against two references: the per-point product of the two unit
+    # columns, and the quotient oracle's free pair, compared by the ranks of
+    # stacked pair vectors since both live in the same quotient
+    affs = ([decone(arr, 0) for _, arr in members] + box_arrangements(20, seed=11)
+            + [decone(catalog.near_pencil(7), 6)])  # one point of multiplicity 6
+    assert max(len(inc) for aff in affs for inc in aff.finite_points) >= 6
+    rng = random.Random(13)
+    for aff in affs:
+        for p in (2, 3, 2**31 - 1):
+            alg, orc = OSAlgebra(aff, p), QuotientOSOracle(aff, p)
+            table = list(alg.unit_pairs())
+            # every non-parallel pair exactly once, in incidence order u < v
+            parallel = set(relation_pairs(aff))
+            assert sorted((u, v) for u, v, _, _ in table) == [
+                pair for pair in combinations(range(aff.n), 2) if pair not in parallel]
+            closed = np.zeros((len(table), alg.dim2), dtype=np.int64)
+            free = np.zeros((len(table), orc.num_pairs), dtype=np.int64)
+            for row, (u, v, su, sv) in enumerate(table):
+                closed[row, sv] = 1
+                if su >= 0:
+                    closed[row, su] = p - 1
+                free[row, orc._pair_index(u, v)] = 1
+                assert np.array_equal(closed[row], alg.wedge11(alg.unit(u), alg.unit(v)).data)
+            subsets = [range(len(table))] + [
+                rng.sample(range(len(table)), rng.randint(1, len(table)))
+                for _ in range(5 if table else 0)]
+            for rows in subsets:
+                rows = list(rows)
+                assert len(_rref_raw(closed[rows], p)[1]) == orc.rank_modulo_relations(free[rows])
+            assert len(_rref_raw(closed, p)[1]) == alg.dim2

@@ -1,13 +1,17 @@
-"""Built-in arrangements used by the command line tool and the test sweeps."""
+"""Built-in arrangements used by the command line tool and the test sweeps.
+
+``BUILTINS`` maps each name to its generator; a builtin takes ``--m``
+exactly when its generator takes a parameter.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
 from typing import Callable
 
 from .geometry import ProjArrangement
 
-__all__ = ["CatalogEntry", "BUILTINS", "BadParameterError", "build_named", "sweep_members",
+__all__ = ["BUILTINS", "BadParameterError", "build_named", "sweep_members",
            "braid_a3", "pencil", "near_pencil", "generic", "fermat", "fig3", "b3", "deleted_b3",
            "pappus"]
 
@@ -91,23 +95,16 @@ def pappus() -> ProjArrangement:
                                         (1, -2, 1), (1, 2, 0), (1, 1, 0), (1, 4, -1)])
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    generator: Callable[..., ProjArrangement]
-    parametric: bool
-
-
-BUILTINS: dict[str, CatalogEntry] = {
-    "braid-a3": CatalogEntry("braid-a3", braid_a3, False),
-    "pencil": CatalogEntry("pencil", pencil, True),
-    "near-pencil": CatalogEntry("near-pencil", near_pencil, True),
-    "generic": CatalogEntry("generic", generic, True),
-    "fermat": CatalogEntry("fermat", fermat, True),
-    "fig3": CatalogEntry("fig3", fig3, False),
-    "b3": CatalogEntry("b3", b3, False),
-    "deleted-b3": CatalogEntry("deleted-b3", deleted_b3, False),
-    "pappus": CatalogEntry("pappus", pappus, False),
+BUILTINS: dict[str, Callable[..., ProjArrangement]] = {
+    "braid-a3": braid_a3,
+    "pencil": pencil,
+    "near-pencil": near_pencil,
+    "generic": generic,
+    "fermat": fermat,
+    "fig3": fig3,
+    "b3": b3,
+    "deleted-b3": deleted_b3,
+    "pappus": pappus,
 }
 
 
@@ -117,29 +114,22 @@ def build_named(name: str, m: int | None = None) -> ProjArrangement:
         raise BadParameterError(
             f"unknown builtin {name!r}; choose from {sorted(BUILTINS)}"
         )
-    entry = BUILTINS[name]
-    if entry.parametric:
+    generator = BUILTINS[name]
+    if inspect.signature(generator).parameters:
         if m is None:
             raise BadParameterError(f"builtin {name!r} needs --m")
-        return entry.generator(m)
+        return generator(m)
     if m is not None:
         raise BadParameterError(f"builtin {name!r} takes no --m")
-    return entry.generator()
+    return generator()
 
 
-def sweep_members(max_lines: int = 12) -> list[tuple[str, ProjArrangement]]:
-    """Every catalog instance with at most max_lines lines, for test sweeps."""
-    members: list[tuple[str, ProjArrangement]] = []
-    if max_lines >= 6:
-        members.append(("braid-a3", braid_a3()))
-        members.append(("fig3", fig3()))
-        members.append(("fermat-2", fermat(2)))
-    members += [(name, arr) for name, arr in
-                (("deleted-b3", deleted_b3()), ("b3", b3()), ("pappus", pappus()))
-                if len(arr) <= max_lines]
-    if max_lines >= 3:
-        members.append(("fermat-1", fermat(1)))
-    for m in range(3, max_lines + 1):
+def sweep_members() -> list[tuple[str, ProjArrangement]]:
+    """Every catalog instance with at most 12 lines, for test sweeps."""
+    members = [("braid-a3", braid_a3()), ("fig3", fig3()), ("fermat-2", fermat(2)),
+               ("deleted-b3", deleted_b3()), ("b3", b3()), ("pappus", pappus()),
+               ("fermat-1", fermat(1))]
+    for m in range(3, 13):
         members.append((f"pencil-{m}", pencil(m)))
         members.append((f"near-pencil-{m}", near_pencil(m)))
         members.append((f"generic-{m}", generic(m)))

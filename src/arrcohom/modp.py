@@ -116,11 +116,7 @@ def _kernel_raw(a: np.ndarray, p: int) -> np.ndarray:
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, exact for any supported modulus."""
-    inner = a.shape[-1]
-    if inner == 0:
-        shape = a.shape[:-1] + b.shape[1:]
-        return np.zeros(shape, dtype=np.int64)
-    if (p - 1) * (p - 1) * inner < 2**62:
+    if (p - 1) * (p - 1) * a.shape[-1] < 2**62:
         return (a @ b) % p
     return np.asarray((a.astype(object) @ b.astype(object)) % p, dtype=np.int64)
 
@@ -200,16 +196,8 @@ class FpMatrix(_FpArray):
     _ndim, _kind = 2, "matrix"
 
     @property
-    def rows(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.data.shape[1])
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self.data.shape
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, shape={self.shape})"
@@ -227,6 +215,6 @@ class FpMatrix(_FpArray):
             return NotImplemented
         if other.p != self.p:
             raise ModulusMismatchError(f"p={self.p} vs p={other.p}")
-        if other.data.shape[0] != self.cols:
+        if other.data.shape[0] != self.data.shape[1]:
             raise DimensionMismatchError(f"{self.shape} @ {other.data.shape}")
         return type(other)(self.p, _matmul_mod(self.data, other.data, self.p))

@@ -58,19 +58,6 @@ class BadDegreeError(ValueError):
     """Eigenvalue orders need a defining polynomial degree of at least 3."""
 
 
-def _factorize(k: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            k //= d
-        d += 1
-    if k > 1:
-        factors[k] = factors.get(k, 0) + 1
-    return factors
-
-
 @dataclass(frozen=True)
 class EigenvalueOrder:
     """A divisor k >= 2 of n+1, flagged when it is a prime power p**l."""
@@ -87,12 +74,11 @@ def orders(n_plus_1: int) -> list[EigenvalueOrder]:
     for k in range(2, n_plus_1 + 1):
         if n_plus_1 % k:
             continue
-        factors = _factorize(k)
-        pp = None
-        if len(factors) == 1:
-            ((p, exp),) = factors.items()
-            pp = (p, exp)
-        out.append(EigenvalueOrder(k, pp))
+        p = next(d for d in range(2, k + 1) if k % d == 0)  # the smallest prime factor
+        e = 1
+        while p**e < k:
+            e += 1
+        out.append(EigenvalueOrder(k, (p, e) if p**e == k else None))
     return out
 
 
@@ -209,8 +195,7 @@ def report(arr: ProjArrangement) -> VanishingReport:
     table = mu_table(arr)
     all_orders = orders(degree)
 
-    primes = [o.prime_power[0] for o in all_orders
-              if o.prime_power is not None and o.prime_power[1] == 1]
+    primes = [o.k for o in all_orders if o.prime_power == (o.k, 1)]
     # every prime here divides the degree, so line 0 gives the bound at every line
     at_line0 = beta1_by_line(arr, primes, [0])
     prime_records = []

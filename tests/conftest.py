@@ -10,7 +10,7 @@ from arrcohom.geometry import ProjArrangement, decone, parse_line
 @pytest.fixture(scope="session")
 def members():
     """Every catalog instance with at most 12 lines."""
-    return catalog.sweep_members(max_lines=12)
+    return catalog.sweep_members()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from arrcohom.aomoto import Beta1Result
-from arrcohom.catalog import BUILTINS, build_named
+from arrcohom.catalog import BUILTINS, BadParameterError, build_named
 from arrcohom.cli import canonical_json, main
 from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
 from arrcohom.geometry import IntersectionLattice, decone, intersect
@@ -213,6 +214,15 @@ def test_degenerate_fig3(capsys):
     assert "total" in out
 
 
+def test_degenerate_single_class_text(capsys):
+    # a pencil deconed at one of its lines has one parallel class: no maps
+    code, out, err = run(capsys, "degenerate", "--builtin", "pencil", "--m", "3",
+                         "--prime", "3")
+    assert (code, err) == (0, "")
+    assert out == ("infinity = 0, parallel classes (generator positions): [0, 1]\n"
+                   "no degenerations available (single parallel class)\n")
+
+
 def test_degenerate_json(capsys):
     code, out, _ = run(capsys, "degenerate", "--builtin", "fig3", "--prime", "2", "--json")
     assert code == 0
@@ -298,7 +308,23 @@ def test_report_text(capsys):
 
 def test_sweep_covers_every_fixed_builtin(members):
     names = {name for name, _ in members}
-    assert {name for name, entry in BUILTINS.items() if not entry.parametric} <= names
+    assert {name for name, gen in BUILTINS.items()
+            if not inspect.signature(gen).parameters} <= names
+
+
+def test_builtins_that_take_m():
+    # read off each generator's signature: exactly these need --m
+    needs_m = set()
+    for name in BUILTINS:
+        try:
+            build_named(name)
+        except BadParameterError as exc:
+            assert str(exc) == f"builtin {name!r} needs --m"
+            needs_m.add(name)
+    assert needs_m == {"pencil", "near-pencil", "generic", "fermat"}
+    for name in set(BUILTINS) - needs_m:
+        with pytest.raises(BadParameterError, match="takes no --m"):
+            build_named(name, 3)
 
 
 def test_report_never_crashes_on_catalog(capsys, members):
@@ -336,6 +362,17 @@ def test_exit_parse_error(capsys, tmp_path):
     path2 = tmp_path / "short.arr"
     path2.write_text("1 0\n")
     assert run(capsys, "lattice", str(path2))[0] == 2
+    path3 = tmp_path / "comments.arr"
+    path3.write_text("# only a comment\n\n   \n# and another  \n")
+    assert run(capsys, "lattice", str(path3)) == (2, "", f"error: {path3}: no lines found\n")
+
+
+def test_exit_file_and_builtin(capsys, tmp_path):
+    path = tmp_path / "triangle.arr"
+    path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "lattice", str(path), "--builtin", "b3")
+    assert (code, out) == (2, "")
+    assert err == "error: give either a file or --builtin, not both\n"
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "1.0", "0x1", "+-1"],
@@ -435,6 +472,10 @@ def test_exit_builtin_parameter_misuse(capsys):
     assert run(capsys, "lattice", "--builtin", "pencil")[0] == 2
     assert run(capsys, "lattice", "--builtin", "braid-a3", "--m", "4")[0] == 2
     assert run(capsys, "lattice", "--builtin", "fermat", "--m", "3")[0] == 2
+    for name in ("pencil", "near-pencil", "generic"):
+        code, out, err = run(capsys, "lattice", "--builtin", name, "--m", "2")
+        assert (code, out) == (2, ""), name
+        assert err == f"error: {name} needs m >= 3, got 2\n"
 
 
 def test_exit_m_without_builtin(capsys, tmp_path):

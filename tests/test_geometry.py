@@ -55,6 +55,8 @@ def test_canonical_form_refuses_non_integers():
 def test_parse_line_rejects_zero():
     with pytest.raises(ZeroLineError):
         parse_line((0, 0, 0))
+    with pytest.raises(ZeroLineError, match="expected three coefficients, got 2"):
+        parse_line((1, 2))
 
 
 def test_canonical_form_is_scaling_invariant():

@@ -107,6 +107,24 @@ def test_mismatch_errors():
         FpMatrix(2, [[1, 0]]) @ FpVector(2, [1])
     with pytest.raises(DimensionMismatchError):
         FpVector(5, [1]) + FpVector(5, [1, 2])
+    with pytest.raises(DimensionMismatchError):
+        FpVector(3, [[1]])
+    with pytest.raises(DimensionMismatchError):
+        FpMatrix(3, [1])
+    with pytest.raises(TypeError):
+        FpVector(3, [1]) + FpMatrix(3, [[1]])
+    with pytest.raises(ModulusMismatchError):
+        FpVector(2, [1]) + FpVector(3, [1])
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_matmul_over_empty_inner_dimension(p):
+    # numpy's own product gives the int64 zeros, for every supported modulus
+    m = FpMatrix(p, np.zeros((2, 0), dtype=np.int64))
+    prod = m @ FpMatrix(p, np.zeros((0, 3), dtype=np.int64))
+    assert prod.shape == (2, 3) and prod.data.dtype == np.int64 and prod.is_zero()
+    vec = m @ FpVector(p, [])
+    assert len(vec) == 2 and vec.data.dtype == np.int64 and vec.is_zero()
 
 
 def test_large_modulus_stays_exact():
@@ -257,7 +275,7 @@ def test_rref_matches_full_matrix_elimination_on_fixed_cases(p):
 
 
 def _d1_sources():
-    return ([arr for _, arr in catalog.sweep_members(12)] + box_sources(50, seed=2024))
+    return ([arr for _, arr in catalog.sweep_members()] + box_sources(50, seed=2024))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -164,6 +164,9 @@ def test_oracle_pair_reductions_agree():
             for i, j in pairs:
                 value = alg.wedge11(alg.unit(i), alg.unit(j))
                 assert value.is_zero() == (not orc.pair_reduction(i, j).any())
+                # the swapped pair is the negative, a repeated line is zero
+                assert np.array_equal(orc.pair_reduction(j, i), -orc.pair_reduction(i, j) % p)
+                assert not orc.pair_reduction(i, i).any()
             for _ in range(20):
                 subset = rng.sample(pairs, rng.randint(1, len(pairs)))
                 built = np.stack([alg.wedge11(alg.unit(i), alg.unit(j)).data
@@ -204,6 +207,8 @@ def test_dimension_checks():
         alg.deg1([1, 2, 3])
     with pytest.raises(Exception):
         alg.wedge11(alg.ones(), FpVector(5, [1] * alg.n))
+    with pytest.raises(IndexError):
+        alg.unit(alg.n)
 
 
 def test_wedge_matches_oracle_on_box_arrangements():

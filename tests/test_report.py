@@ -55,6 +55,20 @@ def test_orders_examples():
     ]
 
 
+def test_orders_match_brute_force_prime_powers():
+    def prime(q):
+        return all(q % d for d in range(2, q))
+
+    for n in range(3, 201):
+        expected = []
+        for k in range(2, n + 1):
+            if n % k == 0:
+                pp = [(q, e) for q in range(2, k + 1) if prime(q)
+                      for e in range(1, k.bit_length() + 1) if q**e == k]
+                expected.append((k, pp[0] if pp else None))
+        assert [(o.k, o.prime_power) for o in orders(n)] == expected, n
+
+
 def test_orders_bad_degree():
     with pytest.raises(BadDegreeError):
         orders(2)
@@ -130,6 +144,10 @@ def test_braid_report(braid):
     assert rep.order_record(3).bound == 1
     assert rep.order_record(6).verdict == VANISHES_BY_LIBGOBER
     assert rep.order_record(6).bound == 0
+    with pytest.raises(KeyError):
+        rep.prime_record(7)
+    with pytest.raises(KeyError):
+        rep.order_record(5)
 
 
 def test_pencil_report_not_essential():

@@ -9,6 +9,7 @@ keeps. The dense definition ``beta1_full`` is its independent check."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,14 @@ class Beta1Result:
 def _d1(alg: OSAlgebra, xi: FpVector) -> FpMatrix:
     """The differential (xi wedge -) of the complex R -> A^1 -> A^2."""
     d1 = alg.wedge_matrix(xi)
-    # the square of the differential vanishes since xi wedge xi = 0
-    if not (d1 @ xi).is_zero():
+    # d1 is written in closed form; check it against the product: d1 xi is
+    # xi wedge xi = 0, and d1 y is wedge11(xi, y) on one seeded one-form y
+    y = FpVector(alg.p, random.Random(0).choices(range(alg.p), k=alg.n))
+    images = (d1 @ FpMatrix(alg.p, np.stack([xi.data, y.data], axis=1))).data
+    if images[:, 0].any():
         raise RuntimeError("wedge matrix does not annihilate xi; this is a bug")
+    if not np.array_equal(images[:, 1], alg.wedge11(xi, y).data):
+        raise RuntimeError("wedge matrix disagrees with wedge11 on a seeded form; this is a bug")
     return d1
 
 

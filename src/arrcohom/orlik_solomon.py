@@ -8,7 +8,9 @@ j runs over X's other lines. The three-term relation at X says
 (e_i - e_a) ^ (e_j - e_a) = 0, so writing the part of a one-form x on X as
 S_X(x) e_a + sum_j x_j (e_j - e_a), with S_X(x) the sum of x_i over i in X,
 gives the whole product in closed form: x ^ y has coefficient
-S_X(x) y_j - S_X(y) x_j on the basis symbol (X, j).
+S_X(x) y_j - S_X(y) x_j on the basis symbol (X, j). With y = e_l, this
+writes the matrix d1 of (x wedge -) in closed form: row (X, j) holds -x_j
+at each of the m_X lines of X, anchor included, plus S_X(x) at line j.
 
 ``QuotientOSOracle`` computes the same degree as the free module on all
 line pairs modulo the defining relations. It shares nothing with the
@@ -163,10 +165,21 @@ class OSAlgebra:
 
     def wedge_matrix(self, xi: FpVector) -> FpMatrix:
         """Matrix of (xi wedge -) from degree 1 to degree 2; column j is the
-        image of e_j."""
+        image of e_j. In closed form its entry at symbol (X, l) and column j
+        is S_X(xi) [l = j] - [j on X] xi_l: -xi_l at every line of X, anchor
+        included, plus S_X(xi) at column l."""
         self._check(xi, 1)
-        repeated = FpMatrix(self.p, np.repeat(xi.data[:, None], self.n, axis=1))
-        return self.wedge11(repeated, FpMatrix(self.p, np.eye(self.n, dtype=np.int64)))
+        pt, ln, x, sym = self._sym_point, self._sym_line, xi.data, np.arange(self.dim2)
+        d1 = np.zeros((self.dim2, self.n), dtype=np.int64)
+        # row s of point X holds -xi_l at X's anchor and at the lines of X's
+        # k symbols, which are contiguous from X's first symbol
+        d1[sym, self._anchor[pt]] = -x[ln]
+        k = np.diff(self._sym_start, append=self.dim2)[pt]
+        rows = np.repeat(sym, k)
+        shift = np.repeat(self._sym_start[pt] - np.cumsum(k) + k, k)
+        d1[rows, ln[shift + np.arange(rows.size)]] = -x[ln[rows]]
+        d1[sym, ln] += self._point_sums(x)[pt]
+        return FpMatrix(self.p, d1)
 
 
 class QuotientOSOracle:

@@ -212,6 +212,22 @@ def test_complex_rejects_wedge_matrix_not_killing_xi(monkeypatch, braid):
         beta1_full(alg, alg.ones())  # coefficient sum 5 is nonzero mod 3
 
 
+def test_complex_rejects_wedge_matrix_disagreeing_with_wedge11(monkeypatch, braid):
+    # a large p, so that the seeded one-form y almost surely differs on lines
+    # 0 and 1 and the swap moves d1 y by (y_1 - y_0)(column 0 - column 1)
+    p = 2**31 - 1
+    alg = OSAlgebra(decone(braid, 2), p)
+    true_d1 = alg.wedge_matrix(alg.ones())
+    swapped = true_d1.data[:, [1, 0, 2, 3, 4]]
+    # with xi = ones, d1 xi is the sum of the columns, which the swap keeps:
+    # only the cross-check against wedge11 can fire
+    assert not np.array_equal(swapped, true_d1.data)
+    assert (FpMatrix(p, swapped) @ alg.ones()).is_zero()
+    monkeypatch.setattr(OSAlgebra, "wedge_matrix", lambda self, xi: FpMatrix(self.p, swapped))
+    with pytest.raises(RuntimeError, match="disagrees with wedge11.*; this is a bug"):
+        beta1_full(alg, alg.ones())
+
+
 def test_sweep_checks_every_prime_before_any_line(braid):
     with pytest.raises(NotPrimeError):
         beta1_sweep(braid.lattice, [], [4])

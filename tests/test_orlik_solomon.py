@@ -16,7 +16,7 @@ from arrcohom.modp import (
     ModulusMismatchError,
     _rref_raw,
 )
-from conftest import box_arrangements
+from conftest import box_arrangements, box_sources
 from arrcohom.orlik_solomon import (
     OSAlgebra,
     QuotientOSOracle,
@@ -209,6 +209,15 @@ def test_dimension_checks():
         alg.wedge11(alg.ones(), FpVector(5, [1] * alg.n))
     with pytest.raises(IndexError):
         alg.unit(alg.n)
+    # wedge_matrix checks its operand's type, prime and length
+    with pytest.raises(TypeError):
+        alg.wedge_matrix([1] * alg.n)
+    with pytest.raises(TypeError):
+        alg.wedge_matrix(FpMatrix(3, np.ones((alg.n, 1), dtype=np.int64)))
+    with pytest.raises(ModulusMismatchError):
+        alg.wedge_matrix(FpVector(5, [1] * alg.n))
+    with pytest.raises(DimensionMismatchError):
+        alg.wedge_matrix(FpVector(3, [1] * (alg.n + 1)))
 
 
 def test_wedge_matches_oracle_on_box_arrangements():
@@ -315,3 +324,25 @@ def test_unit_pairs_are_the_products_in_closed_form(members):
                 rows = list(rows)
                 assert len(_rref_raw(closed[rows], p)[1]) == orc.rank_modulo_relations(free[rows])
             assert len(_rref_raw(closed, p)[1]) == alg.dim2
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
+def test_wedge_matrix_closed_form_is_the_product(members, p):
+    # the closed form against the product definition: wedge11 of xi repeated
+    # n times with the identity, whose column j is xi ^ e_j
+    affs = ([decone(arr, h) for _, arr in members for h in range(len(arr.lines))]
+            + [decone(arr, 0) for arr in box_sources(50, 2024)]
+            + [central_fixture(s) for s in range(2, 7)]
+            + [parallel_fixture(r) for r in range(1, 6)]
+            + [decone(catalog.pencil(5), 0)])
+    assert any(aff.finite_points == () for aff in affs)  # the pencil: dim2 = 0
+    rng = random.Random(17)
+    for aff in affs:
+        alg = OSAlgebra(aff, p)
+        block = FpMatrix(p, np.eye(alg.n, dtype=np.int64))
+        for xi in (alg.ones(), FpVector(p, np.zeros(alg.n, dtype=np.int64)),
+                   *(FpVector(p, [rng.randrange(p) for _ in range(alg.n)]) for _ in range(2))):
+            repeated = FpMatrix(p, np.repeat(xi.data[:, None], alg.n, axis=1))
+            d1 = alg.wedge_matrix(xi)
+            assert d1.shape == (alg.dim2, alg.n)
+            assert d1 == alg.wedge11(repeated, block), (aff, xi)

@@ -1,15 +1,20 @@
 """Dense exact linear algebra over a prime field F_p.
 
 Matrices hold numpy int64 residues. The modulus must be prime and below
-2**31 so that any product of two residues stays inside int64; matrix
-products additionally fall back to exact object arithmetic whenever an
-accumulated dot product could overflow.
+2**31 so that any product of two residues stays inside int64. A matrix
+product whose accumulated dot products could overflow splits its right
+factor into 16-bit halves, and falls back to exact object arithmetic only
+past the inner dimension where even the halves could overflow.
 
 One elimination routine, ``_rref_raw``, serves every rank, kernel and
 quotient. Its matrices are stored densely, but each pivot at row r and
 column c touches only the rows with a nonzero entry in column c and only
 the columns from c on, so a sparse matrix such as d1 costs in proportion
 to its fill-in, not to its full size.
+
+A matrix with more than 2 * cols rows has rank rank(B) + rank(C @ K.T),
+where B is its top 2 * cols rows, C the rest and K's rows a basis of ker B:
+v -> v @ K.T kills exactly the annihilator of ker B, the row space of B.
 """
 
 from __future__ import annotations
@@ -115,9 +120,14 @@ def _kernel_raw(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exact for any supported modulus."""
-    if (p - 1) * (p - 1) * a.shape[-1] < 2**62:
+    """a @ b mod p, exact for residues. With b split as hi * 2**16 + lo, no
+    int64 sum exceeds (p - 1) * (2**16 + inner * 0xFFFF): below 2**63 for
+    inner <= 2**16 at p = 2**31 - 1, the largest supported prime."""
+    inner = a.shape[-1]
+    if (p - 1) * (p - 1) * inner < 2**62:
         return (a @ b) % p
+    if (p - 1) * (2**16 + inner * 0xFFFF) < 2**63:
+        return ((a @ (b >> 16)) % p * 2**16 + a @ (b & 0xFFFF)) % p
     return np.asarray((a.astype(object) @ b.astype(object)) % p, dtype=np.int64)
 
 
@@ -203,7 +213,11 @@ class FpMatrix(_FpArray):
         return f"FpMatrix(p={self.p}, shape={self.shape})"
 
     def rank(self) -> int:
-        return len(_rref_raw(self.data, self.p)[1])
+        a, p, top = self.data, self.p, 2 * self.data.shape[1]
+        if a.shape[0] <= top:
+            return len(_rref_raw(a, p)[1])
+        ker = _kernel_raw(a[:top], p)  # tall: see the module docstring
+        return a.shape[1] - len(ker) + len(_rref_raw(_matmul_mod(a[top:], ker.T, p), p)[1])
 
     def kernel_basis(self) -> list[FpVector]:
         """Basis of the right null space; empty list for injective maps."""

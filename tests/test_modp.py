@@ -284,3 +284,95 @@ def test_rref_matches_full_matrix_elimination_on_d1(p):
     for arr in _d1_sources():
         alg = OSAlgebra(decone(arr, 0), p)
         _assert_matches_full_matrix_rref(alg.wedge_matrix(alg.ones()).data, p)
+
+
+
+def _assert_rank_matches_rref(a, p):
+    assert FpMatrix(p, a).rank() == len(_rref_raw(a, p)[1])
+
+
+def _object_product(a, b, p):
+    return np.asarray((a.astype(object) @ b.astype(object)) % p, dtype=np.int64)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=reduced_matrices())
+def test_rank_matches_rref_pivots(case):
+    p, a = case
+    _assert_rank_matches_rref(a, p)
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_tall_rank_matches_rref_pivots_on_fixed_cases(p):
+    # a matrix with more than 2 * cols rows is ranked through the kernel of
+    # its top 2 * cols rows; these cases put the rank in either block
+    cols = 6
+    rng = np.random.default_rng(p % 1000)
+
+    def rand(rows):
+        return rng.integers(0, p, size=(rows, cols))
+
+    eye, zeros, top = np.eye(cols, dtype=np.int64), np.zeros((2 * cols, cols), dtype=np.int64), rand(2 * cols)
+    one_row = np.tile(rand(1), (2 * cols, 1))
+    cases = [
+        rand(2 * cols),
+        rand(2 * cols + 1),
+        np.vstack([zeros, rand(5)]),
+        np.vstack([zeros, eye]),
+        np.vstack([one_row, rand(9)]),
+        # the last row alone lies outside the top block's row space
+        np.vstack([one_row, eye[:1]]),
+        # a full-rank top block: the rest adds nothing
+        np.vstack([eye, rand(cols + 7)]),
+        # rest rows inside the top block's row space
+        np.vstack([top, _object_product(rand(4)[:, :3], top[:3], p)]),
+        np.vstack([eye, zeros[:cols], np.ones((3, cols), dtype=np.int64)]),
+        np.zeros((5, 0), dtype=np.int64),
+        np.zeros((20, cols), dtype=np.int64),
+        np.full((30, cols), p - 1, dtype=np.int64),
+    ]
+    for a in cases:
+        _assert_rank_matches_rref(a, p)
+    assert FpMatrix(p, cases[3]).rank() == FpMatrix(p, cases[6]).rank() == cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_tall_rank_matches_rref_pivots_on_d1(p):
+    # the dense check's d1 at the all-ones form: every line of the catalog
+    # members, and line 0 of the box arrangements
+    sources = [(arr, h) for _, arr in catalog.sweep_members() for h in range(len(arr.lines))]
+    sources += [(arr, 0) for arr in box_sources(50, seed=2024)]
+    for arr, h in sources:
+        alg = OSAlgebra(decone(arr, h), p)
+        _assert_rank_matches_rref(alg.wedge_matrix(alg.ones()).data, p)
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_tall_rank_matches_rref_pivots_on_generic_120(p):
+    alg = OSAlgebra(decone(catalog.generic(120), 0), p)
+    d1 = alg.wedge_matrix(alg.ones()).data
+    assert d1.shape == (7021, 119)
+    _assert_rank_matches_rref(d1, p)
+
+
+@pytest.mark.parametrize("inner", [0, 1, 2, 199, 2**15 - 1, 2**16, 2**16 + 1])
+def test_matmul_at_the_largest_prime_matches_object_arithmetic(inner):
+    # row 0 of a times column 0 of b is the worst case of the 16-bit split
+    # b = hi * 2**16 + lo: every low half is 0xFFFF and the high halves sum to
+    # 1, so (a @ hi) % p is p - 1. Its int64 sum reaches the bound exactly,
+    # which fits at inner = 2**16 and passes 2**63 at 2**16 + 1, where the
+    # product must take the object path.
+    p = 2**31 - 1
+    assert (p - 1) * (2**16 + 2**16 * 0xFFFF) < 2**63 <= (p - 1) * (2**16 + (2**16 + 1) * 0xFFFF)
+    rng = np.random.default_rng(inner)
+    a = np.where(rng.random((2, inner)) < 0.5, p - 1, rng.integers(0, p, size=(2, inner)))
+    a[0] = p - 1
+    b = np.full((inner, 3), 0x7FFEFFFF, dtype=np.int64)
+    b[:, 0] = 0xFFFF
+    b[:1, 0] = 0x1FFFF
+    b[:, 2] = np.where(rng.random(inner) < 0.5, p - 1, rng.integers(0, p, size=inner))
+    prod = (FpMatrix(p, a) @ FpMatrix(p, b)).data
+    assert prod.dtype == np.int64
+    assert np.array_equal(prod, _object_product(a, b, p))
+    vec = FpMatrix(p, a) @ FpVector(p, b[:, 0])
+    assert np.array_equal(vec.data, _object_product(a, b[:, 0], p))

@@ -7,9 +7,9 @@ transversal. Both are materialized as matrices on the degree 1 and
 degree 2 coordinates. ``delta_tot`` and ``delta_dir`` build one map each,
 unverified; ``degenerations`` builds a deconing's whole family over one
 shared source algebra and verifies it in one ``verify_homomorphism``
-call, in the direct sum of its targets, reading each unit pair's product
-in closed form. A family that fails is a bug and raises, so every map it
-returns carries ``verified=True``.
+call, in the direct sum of its targets, where the whole family's induced
+degree 2 matrix is one product. A family that fails is a bug and raises,
+so every map it returns carries ``verified=True``.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ __all__ = [
     "NoTransversalError",
 ]
 
-# Pairs and triples are checked this many at a time, so that no temporary
-# grows with the number of line pairs or with the triples of a large point:
-# each holds this many columns of the family's stacked target dim2.
+# Pairs, triples and symbols are checked this many at a time, so that no
+# temporary grows with their number: each holds this many columns of the
+# family's stacked target dim2.
 _CHUNK = 256
 # Seed of the random one-form pairs in the last stage of verification.
 _SEED = 0
@@ -165,13 +165,14 @@ def verify_homomorphism(*dmaps: DegenerationMap, trials: int = 20) -> bool:
 
     Relation generators (parallel pairs and concurrent triples) are checked
     exhaustively, then each degree 2 matrix is compared against the wedge
-    of degree 1 images on every pair of lines that meet and on `trials`
-    seeded random one-form pairs. Each stage runs once for the whole family,
-    in blocks of columns. Two lines that meet have a product of one or two
-    basis symbols in closed form (``OSAlgebra.unit_pairs``), so its image
-    is one or two columns of the stacked degree 2 matrices; no source
-    product is formed. The images are wedged in the direct sum of the
-    targets, whose products are the maps' products stacked in order.
+    of degree 1 images on every basis symbol (X, j), the product of X's
+    anchor a and line j, and on `trials` seeded random one-form pairs. Each
+    stage runs once for the whole family, in blocks of columns, wedging the
+    images in the direct sum of the targets, whose products are the maps'
+    products stacked in order; the symbol stage is thus the family's
+    induced degree 2 matrix, compared with the stacked degree 2 matrices.
+    With the triples this covers every pair u < v meeting at X past a:
+    deg2(e_u^e_v) = f(a)^f(v) - f(a)^f(u), which triple (a, u, v) makes f(u)^f(v).
     """
     if not dmaps:
         raise ValueError("verify_homomorphism needs at least one map")
@@ -195,10 +196,9 @@ def verify_homomorphism(*dmaps: DegenerationMap, trials: int = 20) -> bool:
     for i, j, k in _chunks(relation_triples(src.aff)):
         if ((image_wedges(i, j) - image_wedges(i, k) + image_wedges(j, k)) % src.p).any():
             return False
-    for i, j, si, sj in _chunks(src.unit_pairs()):
-        # e_i ^ e_j is symbol sj minus symbol si, where si = -1 is the anchor's zero
-        products = (deg2.data[:, sj] - deg2.data[:, si] * (si >= 0)) % src.p
-        if not np.array_equal(products, image_wedges(i, j)):
+    anchors, lines = src.symbol_factors()
+    for cut in (slice(s, s + _CHUNK) for s in range(0, src.dim2, _CHUNK)):
+        if not np.array_equal(deg2.data[:, cut], image_wedges(anchors[cut], lines[cut])):
             return False
     draws = random.Random(_SEED).choices(range(src.p), k=2 * src.n * trials)
     x, y = (FpMatrix(src.p, d) for d in np.array(draws, dtype=np.int64).reshape(2, src.n, trials))

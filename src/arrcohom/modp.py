@@ -19,6 +19,7 @@ v -> v @ K.T kills exactly the annihilator of ker B, the row space of B.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -139,10 +140,16 @@ class _FpArray:
 
     def __init__(self, p: int, entries):
         self.p = _check_modulus(p)
-        data = np.asarray(entries, dtype=np.int64)
+        data = np.asarray(entries)
+        if not np.can_cast(data.dtype, np.int64):
+            # operator.index, as in parse_line: a float or a string is
+            # refused, not truncated, and an int of any size is reduced
+            data = np.asarray(entries, dtype=object)
+            data = np.array([operator.index(x) % self.p for x in data.flat],
+                            dtype=np.int64).reshape(data.shape)
         if data.ndim != self._ndim:
             raise DimensionMismatchError(f"expected a {self._kind}, got shape {data.shape}")
-        data = data % self.p
+        data = data.astype(np.int64, copy=False) % self.p
         data.flags.writeable = False
         self.data = data
 

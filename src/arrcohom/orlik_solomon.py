@@ -117,17 +117,6 @@ class OSAlgebra:
         """Anchor and line of every degree 2 basis symbol, in basis order."""
         return self._anchor[self._sym_point], self._sym_line
 
-    def unit_pairs(self):
-        """(u, v, s_u, s_v) for every two lines u, v that meet at a finite
-        point X, in X's incidence order: e_u ^ e_v is the basis symbol s_v
-        minus the symbol s_u, where the anchor's s_u is -1 and stands for
-        zero. Parallel lines have a zero product and appear nowhere."""
-        ends = [*self._sym_start[1:].tolist(), self.dim2]
-        for a, s, e in zip(self._anchor.tolist(), self._sym_start.tolist(), ends):
-            lines = [(a, -1)] + [(j, s + t) for t, j in enumerate(self._sym_line[s:e].tolist())]
-            for (u, su), (v, sv) in combinations(lines, 2):
-                yield u, v, su, sv
-
     # ---- products --------------------------------------------------------
 
     def _point_sums(self, x: np.ndarray) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_flipped_degree2_entry_fails_verification(chunk, monkeypatch):
             FpMatrix(3, m),
         )
         assert not verify_homomorphism(bad)
-        # the line-pair stage alone catches it
+        # the symbol stage alone catches it
         assert not verify_homomorphism(bad, trials=0)
 
 
@@ -253,7 +253,7 @@ def test_family_with_one_corrupted_map_fails(chunk, corrupt, monkeypatch):
             bad = family[:k] + [corrupt(dmap)] + family[k + 1:]
             assert not verify_homomorphism(*bad)
             if corrupt is _with_deg2_flip:
-                # the line-pair stage alone catches it
+                # the symbol stage alone catches it
                 assert not verify_homomorphism(*bad, trials=0)
             # built with this map corrupted, the family is refused, and the
             # message names the map that failed
@@ -270,6 +270,51 @@ def test_family_with_one_corrupted_map_fails(chunk, corrupt, monkeypatch):
                 m.setattr(degeneration, constructor, build)
                 with pytest.raises(RuntimeError, match=rf"\({name}\); this is a bug"):
                     degenerations(aff, p)
+
+
+def _is_multiplicative_on_unit_pairs(dmap):
+    # the definition: deg2(e_u ^ e_v) == f(e_u) ^ f(e_v) for every pair u < v
+    # of source generators, as one block product
+    src, f = dmap.source, dmap.deg1_matrix
+    units = np.eye(src.n, dtype=np.int64)
+    u, v = np.triu_indices(src.n, k=1)
+    x, y = FpMatrix(src.p, units[:, u]), FpMatrix(src.p, units[:, v])
+    return dmap.deg2_matrix @ src.wedge11(x, y) == dmap.target.wedge11(f @ x, f @ y)
+
+
+def _corruptions(dmap, rng):
+    # the map, one with random unit deg1 columns and one with a random deg1,
+    # each with its induced deg2, and one with a deg2 entry moved
+    p, rows, cols = dmap.source.p, dmap.target.n, dmap.source.n
+    units = dmap.deg1_matrix.data.copy()
+    for c in rng.sample(range(cols), rng.randint(1, 2)):
+        units[:, c] = 0
+        units[rng.randrange(rows), c] = 1
+    noise = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    out = [dmap] + [replace(dmap, deg1_matrix=f, deg2_matrix=induced_deg2(
+        dmap.source, dmap.target, f)) for f in (FpMatrix(p, units), FpMatrix(p, noise))]
+    flip = dmap.deg2_matrix.data.copy()
+    if flip.size:
+        flip[rng.randrange(flip.shape[0]), rng.randrange(flip.shape[1])] += rng.randrange(1, p)
+        out.append(replace(dmap, deg2_matrix=FpMatrix(p, flip)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, degeneration._CHUNK])
+def test_relation_and_symbol_stages_are_the_definition(chunk, members, monkeypatch):
+    # with no random pairs, the verdict is exactly multiplicativity on every
+    # pair of generators, on honest and corrupted maps alike
+    monkeypatch.setattr(degeneration, "_CHUNK", chunk)
+    rng = random.Random(31)
+    sources = [arr for _, arr in members[:5]] + box_sources(2, seed=5)
+    verdicts = []
+    for arr in sources:
+        for p in (2, 3, 5):
+            for dmap in degenerations(decone(arr, 0), p):
+                for d in _corruptions(dmap, rng):
+                    verdicts.append(verify_homomorphism(d, trials=0))
+                    assert verdicts[-1] == _is_multiplicative_on_unit_pairs(d)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 @pytest.mark.parametrize("aff, p", [(fig3_affine(), 3), (decone(catalog.braid_a3(), 2), 3)])

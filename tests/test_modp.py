@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcohom import catalog
+from arrcohom import catalog, modp
 from arrcohom.geometry import decone
 from arrcohom.modp import (
     DimensionMismatchError,
@@ -43,6 +43,35 @@ def test_entries_reduced():
     assert m.tolist() == [[2, 4], [0, 4]]
     v = FpVector(3, [-1, 4, 3])
     assert v.tolist() == [2, 1, 0]
+
+
+@pytest.mark.parametrize("entries", [[0.5, 1.9, 2.7], ["4", "5"], [1, 2.0], [None],
+                                     np.array([1.0, 2.0])])
+def test_non_integer_entries_refused(entries):
+    # a float or a string is refused, as by parse_line, not truncated or parsed
+    with pytest.raises(TypeError):
+        FpVector(3, entries)
+    with pytest.raises(TypeError):
+        FpMatrix(3, [entries])
+
+
+def test_integer_entries_of_any_size_reduced():
+    assert FpVector(5, [2**70]).tolist() == [2**70 % 5]
+    # numpy reads this list as float64; its entries are still exact ints
+    assert FpVector(7, [-1, 2**63]).tolist() == [6, 2**63 % 7]
+    assert FpMatrix(3, [[2**64 + 1, -(2**80)]]).tolist() == [[(2**64 + 1) % 3, -(2**80) % 3]]
+    assert FpVector(5, np.array([2**64 - 1], dtype=np.uint64)).tolist() == [(2**64 - 1) % 5]
+
+
+def test_empty_and_integer_array_entries(monkeypatch):
+    assert FpVector(3, []).tolist() == []
+    assert FpMatrix(3, np.zeros((0, 4))).shape == (0, 4)
+    # integer and bool arrays are cast, never read entry by entry
+    monkeypatch.setattr(modp, "operator", None)
+    assert FpVector(3, np.array([True, False])).tolist() == [1, 0]
+    for dtype in (np.int8, np.uint16, np.int32, np.int64):
+        assert FpVector(5, np.array([3, 4, 7], dtype=dtype)).tolist() == [3, 4, 2]
+    assert FpMatrix(5, np.array([[9, -1]], dtype=np.int64)).tolist() == [[4, 4]]
 
 
 def test_rank_examples():

@@ -292,38 +292,25 @@ def test_block_wedge_rejects_mismatched_operands():
         alg.wedge11(good, alg.ones())
 
 
-def test_unit_pairs_are_the_products_in_closed_form(members):
-    # each pair of the table, as the degree 2 vector symbol s_v minus symbol
-    # s_u, against two references: the per-point product of the two unit
-    # columns, and the quotient oracle's free pair, compared by the ranks of
-    # stacked pair vectors since both live in the same quotient
+def test_symbol_factors_wedge_to_their_symbols(members):
+    # each symbol (X, j) is the product of X's anchor and line j: that
+    # product is the symbol's unit vector, and the same pairs, as free pairs
+    # of the quotient oracle, span its whole degree 2
     affs = ([decone(arr, 0) for _, arr in members] + box_arrangements(20, seed=11)
             + [decone(catalog.near_pencil(7), 6)])  # one point of multiplicity 6
     assert max(len(inc) for aff in affs for inc in aff.finite_points) >= 6
-    rng = random.Random(13)
     for aff in affs:
         for p in (2, 3, 2**31 - 1):
             alg, orc = OSAlgebra(aff, p), QuotientOSOracle(aff, p)
-            table = list(alg.unit_pairs())
-            # every non-parallel pair exactly once, in incidence order u < v
-            parallel = set(relation_pairs(aff))
-            assert sorted((u, v) for u, v, _, _ in table) == [
-                pair for pair in combinations(range(aff.n), 2) if pair not in parallel]
-            closed = np.zeros((len(table), alg.dim2), dtype=np.int64)
-            free = np.zeros((len(table), orc.num_pairs), dtype=np.int64)
-            for row, (u, v, su, sv) in enumerate(table):
-                closed[row, sv] = 1
-                if su >= 0:
-                    closed[row, su] = p - 1
-                free[row, orc._pair_index(u, v)] = 1
-                assert np.array_equal(closed[row], alg.wedge11(alg.unit(u), alg.unit(v)).data)
-            subsets = [range(len(table))] + [
-                rng.sample(range(len(table)), rng.randint(1, len(table)))
-                for _ in range(5 if table else 0)]
-            for rows in subsets:
-                rows = list(rows)
-                assert len(_rref_raw(closed[rows], p)[1]) == orc.rank_modulo_relations(free[rows])
-            assert len(_rref_raw(closed, p)[1]) == alg.dim2
+            # (anchor, line) of every symbol, in basis order
+            symbols = [(min(inc), j) for inc in aff.finite_points for j in inc[1:]]
+            assert list(zip(*(f.tolist() for f in alg.symbol_factors()))) == symbols
+            units = np.eye(alg.dim2, dtype=np.int64)
+            free = np.zeros((alg.dim2, orc.num_pairs), dtype=np.int64)
+            for s, (a, j) in enumerate(symbols):
+                assert alg.wedge11(alg.unit(a), alg.unit(j)) == FpVector(p, units[s])
+                free[s, orc._pair_index(a, j)] = 1
+            assert orc.rank_modulo_relations(free) == alg.dim2 == orc.dim2
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))

@@ -23,6 +23,7 @@ prime, 141 stdout closed early by its reader (128 + SIGPIPE, quietly).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -68,7 +69,8 @@ def read_arrangement_file(path: str) -> ProjArrangement:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     triples = []
-    for lineno, raw in enumerate(content.splitlines(), start=1):
+    # read_text turns \r\n and \r into \n; splitlines would also split at \f
+    for lineno, raw in enumerate(content.split("\n"), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -210,6 +212,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arrcohom",

@@ -23,7 +23,7 @@ all of them and checks that they agree).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +129,9 @@ class OrderRecord:
     bound: int | None
 
 
-def _json_fields(fields) -> dict:
-    """``asdict`` factory: tuple fields become lists, as JSON writes them."""
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in fields}
+def _json_fields(rec) -> dict:
+    """A record's fields as JSON writes them: tuple fields become lists."""
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(rec).items()}
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,8 @@ class VanishingReport:
             "degree": self.degree,
             "essential": self.essential,
             "mu_table": {"ks": list(self.mu.ks), "rows": [list(r) for r in self.mu.rows]},
-            "primes": [asdict(rec, dict_factory=_json_fields) for rec in self.primes],
-            "orders": [asdict(rec, dict_factory=_json_fields) for rec in self.orders],
+            "primes": [_json_fields(rec) for rec in self.primes],
+            "orders": [_json_fields(rec) for rec in self.orders],
         }
 
 

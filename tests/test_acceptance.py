@@ -144,7 +144,7 @@ def test_criterion_07_degenerations_well_defined(members):
                         maps.append(delta_dir(aff, a, p))
                 for dmap in maps:
                     checked += 1
-                    if not verify_homomorphism(dmap, trials=5):
+                    if not verify_homomorphism(dmap):
                         violations.append((name, infinity, p, dmap.kind))
     ok = not violations and checked > 0
     _criterion(7, ok, f"{checked} degeneration maps verified, violations={violations}")

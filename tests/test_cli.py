@@ -400,6 +400,29 @@ def test_leading_byte_order_mark_is_skipped(capsys, tmp_path):
     assert run(capsys, "lattice", str(marked))[0] == 2
 
 
+@pytest.mark.parametrize("body, lineno", [(b"1 0 0\f0 1 0\n0 0 1\n1 1 1\n", 1),
+                                          (b"1 0 0\n0 1 0\xc2\x850 0 1\nx\n", 2)],
+                         ids=["form-feed", "next-line"])
+def test_rows_end_only_at_newlines(capsys, tmp_path, body, lineno):
+    # str.splitlines also breaks at \f and U+0085; a row ends at \n, \r\n
+    # or \r only, so each of these files has a six-token row
+    path = tmp_path / "rows.arr"
+    path.write_bytes(body)
+    raw = body.decode().split("\n")[lineno - 1]
+    assert run(capsys, "lattice", str(path)) == (
+        2, "", f"error: {path}:{lineno}: expected three integers, got {raw!r}\n")
+
+
+def test_crlf_and_cr_rows_read_as_newline_rows(capsys, tmp_path):
+    rows = ["1 0 0", "0 1 0 # a comment", "", "0 0 1", "1 1 1"]
+    path, outputs = tmp_path / "rows.arr", []
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes((end.join(rows) + end).encode())
+        outputs.append(run(capsys, "lattice", str(path)))
+    assert outputs[0][0] == 0
+    assert outputs == [outputs[0]] * 3
+
+
 def test_exit_non_utf8_file(capsys, tmp_path):
     path = tmp_path / "latin1.arr"
     path.write_bytes(b"1 0 0\n0 1 0\n0 0 1 # \xe9\n")

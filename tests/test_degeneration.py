@@ -114,11 +114,18 @@ def test_verify_homomorphism_catalog(members):
         aff = decone(arr, 0)
         for p in (2, 3, 5):
             if aff.num_classes >= 2:
-                assert verify_homomorphism(delta_tot(aff, p), trials=6)
+                assert verify_homomorphism(delta_tot(aff, p))
             for a in range(aff.num_classes):
                 if len(aff.classes[a]) == aff.n:
                     continue
-                assert verify_homomorphism(delta_dir(aff, a, p), trials=6)
+                assert verify_homomorphism(delta_dir(aff, a, p))
+
+
+def _exact_verdict(*dmaps):
+    # the verdict of the pair, triple and symbol stages alone
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(degeneration, "_PAIRS", 0)
+        return verify_homomorphism(*dmaps)
 
 
 def test_corrupted_map_fails_verification():
@@ -193,7 +200,7 @@ def test_flipped_degree2_entry_fails_verification(chunk, monkeypatch):
         )
         assert not verify_homomorphism(bad)
         # the symbol stage alone catches it
-        assert not verify_homomorphism(bad, trials=0)
+        assert not _exact_verdict(bad)
 
 
 def test_construction_rejects_corrupted_degree2(monkeypatch):
@@ -254,7 +261,7 @@ def test_family_with_one_corrupted_map_fails(chunk, corrupt, monkeypatch):
             assert not verify_homomorphism(*bad)
             if corrupt is _with_deg2_flip:
                 # the symbol stage alone catches it
-                assert not verify_homomorphism(*bad, trials=0)
+                assert not _exact_verdict(*bad)
             # built with this map corrupted, the family is refused, and the
             # message names the map that failed
             constructor = {"total": "delta_tot", "directional": "delta_dir"}[dmap.kind]
@@ -302,8 +309,9 @@ def _corruptions(dmap, rng):
 
 @pytest.mark.parametrize("chunk", [1, degeneration._CHUNK])
 def test_relation_and_symbol_stages_are_the_definition(chunk, members, monkeypatch):
-    # with no random pairs, the verdict is exactly multiplicativity on every
-    # pair of generators, on honest and corrupted maps alike
+    # with no seeded product pair, the verdict is exactly multiplicativity on
+    # every pair of generators, on honest and corrupted maps alike, and the
+    # product stage never changes it
     monkeypatch.setattr(degeneration, "_CHUNK", chunk)
     rng = random.Random(31)
     sources = [arr for _, arr in members[:5]] + box_sources(2, seed=5)
@@ -312,8 +320,9 @@ def test_relation_and_symbol_stages_are_the_definition(chunk, members, monkeypat
         for p in (2, 3, 5):
             for dmap in degenerations(decone(arr, 0), p):
                 for d in _corruptions(dmap, rng):
-                    verdicts.append(verify_homomorphism(d, trials=0))
+                    verdicts.append(_exact_verdict(d))
                     assert verdicts[-1] == _is_multiplicative_on_unit_pairs(d)
+                    assert verdicts[-1] == verify_homomorphism(d)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -363,13 +372,6 @@ def test_verify_rejects_a_map_over_another_prime():
     for bad in foreign:
         with pytest.raises(ModulusMismatchError):
             verify_homomorphism(*family[:-1], bad)
-
-
-def test_verify_rejects_negative_trials():
-    dmap = delta_tot(fig3_affine(), 3)
-    with pytest.raises(ValueError, match="trials"):
-        verify_homomorphism(dmap, trials=-3)
-    assert verify_homomorphism(dmap, trials=0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
@@ -439,9 +441,9 @@ def test_family_matches_maps_built_and_verified_alone(members):
                 assert batched.deg1_matrix == single.deg1_matrix
                 assert batched.deg2_matrix == single.deg2_matrix
                 assert batched.verified and not single.verified
-                assert verify_homomorphism(single, trials=5)
+                assert verify_homomorphism(single)
             if family:
-                assert verify_homomorphism(*family, trials=5)
+                assert verify_homomorphism(*family)
 
 
 def test_degree2_matrix_matches_wedges_exhaustively():

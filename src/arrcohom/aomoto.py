@@ -81,16 +81,14 @@ def _components(flat, owner, mult, join, m):
     ``join`` points: every round each join point takes the least label of
     its lines, each line the least label of its points, then pointer
     jumping; a fixed point labels each component by its smallest line."""
-    if not join.any():
-        return np.arange(m)  # reduceat needs at least one segment
-    jlines = flat[join[owner]]
-    jmult = mult[join]
-    jstarts = np.cumsum(jmult) - jmult
+    jlines, jowner = flat[join[owner]], owner[join[owner]]
     lab, old = np.arange(m), None
     while not np.array_equal(lab, old):
         old = lab
+        low = np.full(len(mult), m)
+        np.minimum.at(low, jowner, old[jlines])
         lab = old.copy()
-        np.minimum.at(lab, jlines, np.repeat(np.minimum.reduceat(old[jlines], jstarts), jmult))
+        np.minimum.at(lab, jlines, low[jowner])
         lab = lab[lab]
     return lab
 

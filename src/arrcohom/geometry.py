@@ -2,10 +2,9 @@
 
 Everything here is integer arithmetic. Lines and points are homogeneous
 coordinate triples kept in a canonical form (gcd-reduced, first nonzero
-entry positive), so equality and hashing are plain tuple operations and
-the intersection lattice can be assembled by dictionary grouping. A line
-and a point are each just their canonical triple, which ``parse_line``
-produces; no type wraps either.
+entry positive), which ``parse_line`` produces; no type wraps either. The
+lattice is one numpy pass over the line pairs, kept as index arrays that
+``decone`` relabels; tuples are built only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -137,30 +136,48 @@ class ProjArrangement:
         return lattice(self)
 
 
-@dataclass(frozen=True)
+def _unpack(mult, flat) -> tuple[tuple[int, ...], ...]:
+    # the tuples that (mult, flat) concatenates, sharing one int per line
+    lines = np.array(range(flat.max(initial=0) + 1), dtype=object)
+    flat, ends = lines[flat].tolist(), np.cumsum(mult).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+
+
+@dataclass(frozen=True, eq=False)
 class IntersectionLattice:
     """The points of a line arrangement in incidence-tuple order (see
-    ``lattice``, the only constructor): ``incidences`` holds each point's
-    sorted lines, every two lines sharing exactly one point, and ``coords``
-    their canonical coordinate triples, which is all a point is.
-    ``arrays``, the one array form every consumer reads, is (mult, flat,
-    owner): each point's multiplicity, the incidences concatenated, and each
-    entry's point, built on first use."""
+    ``lattice``, the only constructor): ``mult`` holds each point's
+    multiplicity, ``flat`` its sorted lines concatenated, every two lines
+    sharing exactly one point, and ``points`` its canonical coordinates, one
+    row per point, which is all a point is. ``arrays`` is (mult, flat,
+    owner), owner being each entry's point; ``incidences`` and ``coords``
+    are tuple views. All are built on first use."""
 
-    incidences: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[int, int, int], ...]
+    mult: np.ndarray
+    flat: np.ndarray
+    points: np.ndarray
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mult = np.fromiter(map(len, self.incidences), np.intp, len(self))
-        flat = np.fromiter(chain.from_iterable(self.incidences), np.intp, int(mult.sum()))
-        return mult, flat, np.repeat(np.arange(len(self)), mult)
+        return self.mult, self.flat, np.repeat(np.arange(len(self)), self.mult)
+
+    @cached_property
+    def incidences(self) -> tuple[tuple[int, ...], ...]:
+        return _unpack(self.mult, self.flat)
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(*self.points.T.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntersectionLattice) and (
+            self.incidences, self.coords) == (other.incidences, other.coords)
 
     def __len__(self) -> int:
-        return len(self.incidences)
+        return len(self.mult)
 
     def multiplicities(self) -> list[int]:
-        return self.arrays[0].tolist()
+        return self.mult.tolist()
 
     def histogram(self) -> dict[int, int]:
         return dict(Counter(self.multiplicities()))
@@ -169,23 +186,34 @@ class IntersectionLattice:
 def lattice(arr: ProjArrangement) -> IntersectionLattice:
     """Group the C(n+1, 2) pairwise intersections by coincident point, uncached.
 
-    Pairs (i, j), i < j, run in order; each cross product, canonicalized as
-    in ``intersect``, keys a dict. The point through lines l1 < l2 < ... is
-    first met at (l1, l2), and only the pairs (l1, k) extend its list, so it
-    is sorted and complete. Two points never share two lines, so this
-    first-pair order of the dict is incidence-tuple order: nothing is sorted.
+    One array pass over the pairs (i, j), i < j, in row-major order: each
+    cross product is canonicalized as in ``intersect``, and a stable
+    ``lexsort`` groups equal ones, so each point's first pair comes first.
+    The point through lines l1 < l2 < ... is first met at (l1, l2), and the
+    pairs (l1, k) list the rest of its lines in order; two points never
+    share two lines, so first-pair order is incidence-tuple order. It is
+    int64 while every |coefficient| is below 2**30, which keeps each cross
+    product below 2**62, and Python ints past that.
     """
-    incident: dict[tuple[int, int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(arr.lines):
-        for j, (d, e, f) in enumerate(arr.lines[i + 1:], i + 1):
-            x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
-            g = math.gcd(x, y, z)
-            if x < 0 or not x and (y < 0 or not y and z < 0):
-                g = -g
-            inc = incident.setdefault((x // g, y // g, z // g), [i, j])
-            if inc[0] == i and inc[1] != j:  # (i, j) extends the point i anchors
-                inc.append(j)
-    return IntersectionLattice(tuple(map(tuple, incident.values())), tuple(incident))
+    wide = max(map(abs, chain.from_iterable(arr.lines))) >= 2**30
+    coeffs = np.array(arr.lines, dtype=object if wide else np.int64).T
+    i, j = np.nonzero(np.arange(len(arr.lines))[:, None] < np.arange(len(arr.lines)))
+    u, v = coeffs[:, i], coeffs[:, j]  # one row per coordinate, one column per pair
+    pts = u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
+    g = np.gcd.reduce(pts)
+    g[np.sign(pts).T @ [4, 2, 1] < 0] *= -1  # the first nonzero entry's sign
+    pts //= g
+    order = np.lexsort(pts)
+    new = np.concatenate([[True], (np.diff(pts[:, order]) != 0).any(axis=0)])
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]  # each pair's point's first pair
+    heads = np.sort(order[new])
+    anchored = np.flatnonzero(i == i[first])  # the pairs (l1, k)
+    # each point's l1, then its pairs' k in order, sorted stably by point
+    point = np.concatenate([np.arange(len(heads)), np.searchsorted(heads, first[anchored])])
+    line = np.concatenate([i[heads], j[anchored]])
+    flat = line[np.argsort(point, kind="stable")]
+    return IntersectionLattice(np.bincount(point), flat, pts[:, heads].T)
 
 
 def mu(arr: ProjArrangement, i: int, k: int) -> int:
@@ -202,46 +230,60 @@ def is_essential(arr: ProjArrangement) -> bool:
     return len(arr.lattice) >= 2
 
 
-@dataclass(frozen=True)
 class AffineArrangement:
     """An affine arrangement as incidence data: its parallel classes,
-    ordered by smallest member, and its finite intersection points, all as
-    sorted tuples of generator positions. Every line lies in exactly one
-    class, so the classes partition the generators 0..n-1 and determine n.
-    No coordinates are kept, so equality is combinatorial. ``decone``
-    relabels a projective lattice into this form; the two degeneration
-    models of ``aomoto`` are written down directly.
+    ordered by smallest member, and its finite intersection points, all
+    sorted in generator positions, as (mult, flat) arrays ``class_arrays``
+    and ``point_arrays`` with tuple views ``classes`` and ``finite_points``.
+    Every line lies in exactly one class, so the classes partition the
+    generators 0..n-1 and determine n. No coordinates are kept, so equality
+    is combinatorial. The constructor keeps the tuples it is given as the
+    views, as the models of ``aomoto`` write them; ``decone`` sets arrays.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    finite_points: tuple[tuple[int, ...], ...]
+    def __init__(self, classes, finite_points):
+        self.classes, self.finite_points = classes, finite_points
+        self.class_arrays, self.point_arrays = (
+            (np.array([len(t) for t in ts], dtype=np.intp),
+             np.fromiter(chain.from_iterable(ts), np.intp)) for ts in (classes, finite_points))
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return _unpack(*self.class_arrays)
+
+    @cached_property
+    def finite_points(self) -> tuple[tuple[int, ...], ...]:
+        return _unpack(*self.point_arrays)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AffineArrangement) and (
+            self.classes, self.finite_points) == (other.classes, other.finite_points)
 
     @property
     def n(self) -> int:
-        return sum(map(len, self.classes))
+        return len(self.class_arrays[1])
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self.class_arrays[0])
 
 
 def decone(arr: ProjArrangement, h: int) -> AffineArrangement:
-    """Send one line to infinity, reading classes and points off ``arr.lattice``.
+    """Send one line to infinity, relabelling the arrays of ``arr.lattice``.
 
     A lattice point through the infinity line h is the point at infinity of
     one parallel class; every other lattice point is a finite point. Lattice
     order (by incidence tuple) already orders the classes by smallest member,
     since classes are disjoint once h is removed, and the position map
-    s -> s - (s > h) keeps every incidence tuple sorted.
+    s -> s - (s > h) keeps every incidence sorted.
     """
     arr.check_index(h)
-    classes, finite = [], []
-    for inc in arr.lattice.incidences:
-        if h in inc:
-            classes.append(tuple(s - (s > h) for s in inc if s != h))
-        else:
-            finite.append(tuple(s - (s > h) for s in inc))
-    aff = AffineArrangement(tuple(classes), tuple(finite))
+    mult, flat, owner = arr.lattice.arrays
+    at_infinity = np.bincount(owner[flat == h], minlength=len(mult)) > 0
+    entry, pos = at_infinity[owner], flat - (flat > h)
+    aff = AffineArrangement.__new__(AffineArrangement)  # from arrays, not tuples
+    aff.class_arrays = (mult[at_infinity] - 1, pos[entry & (flat != h)])
+    aff.point_arrays = (mult[~at_infinity], pos[~entry])
     # every affine line meets the infinity line exactly once
     if aff.n != (n := len(arr.lines) - 1):
         raise RuntimeError(f"parallel classes cover {aff.n} of {n} affine lines; this is a bug")

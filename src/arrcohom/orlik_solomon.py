@@ -67,16 +67,16 @@ class OSAlgebra:
         self.p = _check_modulus(p)
         self.aff = aff
         self.n = aff.n
-        points = aff.finite_points
-        sizes = [len(inc) - 1 for inc in points]
-        self.dim2 = sum(sizes)
+        mult, flat = aff.point_arrays
+        starts = np.cumsum(mult) - mult
+        self.dim2 = len(flat) - len(mult)
         # index arrays of the per-point formula: point and line of each
         # symbol, and the anchor of each point
-        self._sym_point = np.repeat(np.arange(len(points), dtype=np.intp), sizes)
-        self._sym_line = np.array([j for inc in points for j in inc[1:]], dtype=np.intp)
-        self._anchor = np.array([inc[0] for inc in points], dtype=np.intp)
+        self._sym_point = np.repeat(np.arange(len(mult)), mult - 1)
+        self._sym_line = flat[np.arange(self.dim2) + self._sym_point + 1]  # past X + 1 anchors
+        self._anchor = flat[starts]
         # each point's symbols are contiguous; index of the first one
-        self._sym_start = np.cumsum([0] + sizes)[:-1]
+        self._sym_start = starts - np.arange(len(mult))
 
     # ---- element constructors -------------------------------------------
 

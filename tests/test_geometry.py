@@ -22,7 +22,7 @@ from arrcohom.geometry import (
 )
 from arrcohom import catalog, geometry
 from arrcohom.degeneration import degenerations
-from arrcohom.report import beta1_by_line, report
+from arrcohom.report import beta1_by_line, mu_table, report
 from conftest import box_sources
 
 
@@ -339,3 +339,76 @@ def test_decone_roundtrip_and_counts(members):
                 pairs += combinations(inc, 2)
             assert len(finite) == len(aff.finite_points)
             assert sorted(pairs) == list(combinations(range(aff.n), 2))
+
+
+def _pair_grouping(arr):
+    # the lattice's incidences and coordinates grouped pair by pair through
+    # intersect, listed in incidence order
+    groups = {}
+    for i, j in combinations(range(len(arr.lines)), 2):
+        groups.setdefault(intersect(arr.lines[i], arr.lines[j]), set()).update((i, j))
+    expected = sorted((tuple(sorted(inc)), pt) for pt, inc in groups.items())
+    return tuple(inc for inc, _ in expected), tuple(pt for _, pt in expected)
+
+
+def _boundary_arrangements(bound):
+    # largest |coefficient| exactly ``bound``: generic lines, whose triples
+    # (1, t, t^2 + c) lie on the conic xz = y^2 + c x^2 so that no three
+    # meet, shifted onto the bound; pencils through (1:0:0), (0:1:0) and
+    # (1:1:1) that reach it; and the two together
+    c = bound - 11**2
+    tangents = [(1, t, t * t + c) for t in range(12)]
+    pencils = [(0, bound, 1), (0, bound, -1), (0, 1, bound), (0, bound, bound - 1),
+               (bound, 0, 1), (bound, 0, -1), (1, 0, -bound),
+               (bound, 1 - bound, -1), (bound, -1, 1 - bound)]
+    return [ProjArrangement(tangents), ProjArrangement(pencils),
+            ProjArrangement(tangents[::2] + pencils)]
+
+
+@pytest.mark.parametrize("bound", [2**30 - 1, 2**30])
+def test_lattice_at_the_dtype_boundary(bound):
+    # below 2**30 every cross product fits int64; from 2**30 on the same
+    # pass runs on Python ints; either way it is the pairwise grouping
+    for arr in _boundary_arrangements(bound):
+        assert max(abs(t) for line in arr.lines for t in line) == bound
+        lat = lattice(arr)
+        assert lat.points.dtype == (np.int64 if bound < 2**30 else object)
+        assert (lat.incidences, lat.coords) == _pair_grouping(arr)
+    assert 4 in lattice(arr).histogram()  # the pencils do meet
+
+
+def _transformed(arr, sigma, g):
+    # line i of the image is line sigma[i] of arr times g: the same
+    # arrangement after a change of coordinates
+    return ProjArrangement([tuple(sum(line[r] * g[r][c] for r in range(3)) for c in range(3))
+                            for line in (arr.lines[s] for s in sigma)])
+
+
+# unimodular: the identity, two with small entries, and a shear that lifts
+# small coefficients past 2**30
+UNIMODULAR = [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+              ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
+              ((2, 1, 0), (1, 1, 0), (0, 3, 1)),
+              ((1, 2**30, 0), (0, 1, 0), (0, 0, 1))]
+
+
+def test_lattice_is_invariant_under_relabelling(members):
+    # a permutation sigma of the lines and a change of coordinates g: the
+    # incidences are relabelled by sigma, the histogram is kept and the
+    # divisible-point counts move with their lines
+    rng = random.Random(8)
+    sources = [arr for _, arr in members] + box_sources(20, seed=8) + HUGE
+    dtypes = set()
+    for arr in sources:
+        table = mu_table(arr)
+        for g in UNIMODULAR:
+            sigma = rng.sample(range(len(arr.lines)), len(arr.lines))
+            image = _transformed(arr, sigma, g)
+            inverse = {s: i for i, s in enumerate(sigma)}
+            relabelled = sorted(tuple(sorted(inverse[s] for s in inc))
+                                for inc in arr.lattice.incidences)
+            assert image.lattice.incidences == tuple(relabelled)
+            assert image.lattice.histogram() == arr.lattice.histogram()
+            assert mu_table(image).rows == tuple(table.rows[s] for s in sigma)
+            dtypes.add(image.lattice.points.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}

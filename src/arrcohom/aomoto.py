@@ -1,7 +1,8 @@
 """The wedge cochain complex of an arrangement over F_p and its first
 cohomology rank, plus the two model arrangements every degeneration
 targets (a pencil of s lines through one point, and r parallels crossed
-by one transversal), written as incidences. ``beta1_sweep``, the one
+by one transversal), written directly as the (mult, flat) incidence
+arrays ``AffineArrangement`` takes. ``beta1_sweep``, the one
 entry to the incidence kernel, reads the kernel of d1 at the all-ones
 form off the incidences (Falk's resonance over F_p), one listed deconing
 of a projective lattice at a time, over the incidence arrays the lattice
@@ -167,11 +168,12 @@ def central_fixture(s: int) -> AffineArrangement:
     """s affine lines through one point, pairwise non-parallel."""
     if s < 2:
         raise BadSizeError(f"central model needs s >= 2, got {s}")
-    return AffineArrangement(tuple((j,) for j in range(s)), (tuple(range(s)),))
+    return AffineArrangement(([1] * s, range(s)), ([s], range(s)))
 
 
 def parallel_fixture(r: int) -> AffineArrangement:
     """r parallel lines (generators 0..r-1) crossed by one transversal (r)."""
     if r < 1:
         raise BadSizeError(f"parallel model needs r >= 1, got {r}")
-    return AffineArrangement((tuple(range(r)), (r,)), tuple((j, r) for j in range(r)))
+    pairs = [line for j in range(r) for line in (j, r)]  # line j meets the transversal
+    return AffineArrangement(([r, 1], range(r + 1)), ([2] * r, pairs))

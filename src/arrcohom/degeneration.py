@@ -73,9 +73,6 @@ class DegenerationMap:
     def map1(self, x: FpVector) -> FpVector:
         return self.deg1_matrix @ self.source.deg1(x)
 
-    def map2(self, v: FpVector) -> FpVector:
-        return self.deg2_matrix @ self.source.deg2(v)
-
 
 def _columns(mat: FpMatrix, idx) -> FpMatrix:
     return FpMatrix(mat.p, mat.data[:, idx])
@@ -117,9 +114,9 @@ def delta_tot(aff: AffineArrangement | OSAlgebra, p: int) -> DegenerationMap:
     s = aff.num_classes
     if s < 2:
         raise TooFewClassesError(f"need at least 2 parallel classes, got {s}")
+    mult, flat = aff.class_arrays
     m = np.zeros((s, aff.n), dtype=np.int64)
-    for a, members in enumerate(aff.classes):
-        m[a, list(members)] = 1
+    m[np.repeat(np.arange(s), mult), flat] = 1  # each line onto its class's line
     return _build("total", None, source, central_fixture(s), m)
 
 
@@ -131,15 +128,13 @@ def delta_dir(aff: AffineArrangement | OSAlgebra, class_index: int, p: int) -> D
     aff = source.aff
     if not 0 <= class_index < aff.num_classes:
         raise BadClassError(f"class {class_index} out of range 0..{aff.num_classes - 1}")
-    members = aff.classes[class_index]
-    r = len(members)
+    sizes, flat = aff.class_arrays[0].tolist(), aff.class_arrays[1]
+    r, start = sizes[class_index], sum(sizes[:class_index])
     if r == aff.n:
         raise NoTransversalError("every line is in the chosen class")
     m = np.zeros((r + 1, aff.n), dtype=np.int64)
     m[r, :] = 1  # default image: the transversal
-    for u, pos in enumerate(members):
-        m[r, pos] = 0
-        m[u, pos] = 1
+    m[:, flat[start:start + r]] = np.eye(r + 1, r, dtype=np.int64)  # the class onto the parallels
     return _build("directional", class_index, source, parallel_fixture(r), m)
 
 
@@ -151,13 +146,18 @@ def _chunks(tuples):
 
 
 def _direct_sum(algs) -> OSAlgebra:
-    """``algs`` side by side, generators and points shifted apart in order. No
-    product mixes two points, so the sum's products are the summands' stacked."""
-    classes, points = [], []
-    for alg, s in zip(algs, accumulate((a.n for a in algs), initial=0)):
-        classes += [tuple(s + i for i in c) for c in alg.aff.classes]
-        points += [tuple(s + i for i in inc) for inc in alg.aff.finite_points]
-    return OSAlgebra(AffineArrangement(tuple(classes), tuple(points)), algs[0].p)
+    """``algs`` side by side: their class and point arrays concatenated in
+    order, each summand's generators shifted by the total n of the summands
+    before it. No product mixes two points, so the sum's products are the
+    summands' stacked."""
+    shifts = list(accumulate((a.n for a in algs), initial=0))
+
+    def stacked(pairs):
+        mults, flats = zip(*pairs)
+        return np.concatenate(mults), np.concatenate([f + s for f, s in zip(flats, shifts)])
+
+    return OSAlgebra(AffineArrangement(stacked(a.aff.class_arrays for a in algs),
+                                       stacked(a.aff.point_arrays for a in algs)), algs[0].p)
 
 
 def verify_homomorphism(*dmaps: DegenerationMap) -> bool:

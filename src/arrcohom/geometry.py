@@ -127,9 +127,11 @@ class ProjArrangement:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def check_index(self, i: int) -> None:
-        if not 0 <= i < len(self.lines):
+    def check_index(self, i) -> int:
+        """``i`` as a line index, by ``operator.index``: a float is refused."""
+        if not 0 <= (i := operator.index(i)) < len(self.lines):
             raise BadIndexError(f"line index {i} out of range 0..{len(self.lines) - 1}")
+        return i
 
     @cached_property
     def lattice(self) -> "IntersectionLattice":
@@ -219,7 +221,7 @@ def lattice(arr: ProjArrangement) -> IntersectionLattice:
 def mu(arr: ProjArrangement, i: int, k: int) -> int:
     """Number of points of ``arr.lattice`` on line i whose multiplicity k divides,
     by a plain scan of the incidence tuples: the independent check of ``mu_table``."""
-    arr.check_index(i)
+    i, k = arr.check_index(i), operator.index(k)
     if k < 2:
         raise BadKError(f"k must be at least 2, got {k}")
     return sum(1 for inc in arr.lattice.incidences if i in inc and len(inc) % k == 0)
@@ -233,19 +235,19 @@ def is_essential(arr: ProjArrangement) -> bool:
 class AffineArrangement:
     """An affine arrangement as incidence data: its parallel classes,
     ordered by smallest member, and its finite intersection points, all
-    sorted in generator positions, as (mult, flat) arrays ``class_arrays``
-    and ``point_arrays`` with tuple views ``classes`` and ``finite_points``.
-    Every line lies in exactly one class, so the classes partition the
-    generators 0..n-1 and determine n. No coordinates are kept, so equality
-    is combinatorial. The constructor keeps the tuples it is given as the
-    views, as the models of ``aomoto`` write them; ``decone`` sets arrays.
+    sorted in generator positions, given as (mult, flat) pairs
+    ``class_arrays`` and ``point_arrays``: each class's or point's size,
+    and their members concatenated. They are kept as intp arrays, without
+    a copy when they already are; ``classes`` and ``finite_points`` are
+    tuple views built on first read. Every line lies in exactly one class,
+    so the classes partition the generators 0..n-1 and determine n. No
+    coordinates are kept, so equality is combinatorial.
     """
 
-    def __init__(self, classes, finite_points):
-        self.classes, self.finite_points = classes, finite_points
+    def __init__(self, class_arrays, point_arrays):
         self.class_arrays, self.point_arrays = (
-            (np.array([len(t) for t in ts], dtype=np.intp),
-             np.fromiter(chain.from_iterable(ts), np.intp)) for ts in (classes, finite_points))
+            (np.asarray(mult, np.intp), np.asarray(flat, np.intp))
+            for mult, flat in (class_arrays, point_arrays))
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -277,13 +279,12 @@ def decone(arr: ProjArrangement, h: int) -> AffineArrangement:
     since classes are disjoint once h is removed, and the position map
     s -> s - (s > h) keeps every incidence sorted.
     """
-    arr.check_index(h)
+    h = arr.check_index(h)
     mult, flat, owner = arr.lattice.arrays
     at_infinity = np.bincount(owner[flat == h], minlength=len(mult)) > 0
     entry, pos = at_infinity[owner], flat - (flat > h)
-    aff = AffineArrangement.__new__(AffineArrangement)  # from arrays, not tuples
-    aff.class_arrays = (mult[at_infinity] - 1, pos[entry & (flat != h)])
-    aff.point_arrays = (mult[~at_infinity], pos[~entry])
+    aff = AffineArrangement((mult[at_infinity] - 1, pos[entry & (flat != h)]),
+                            (mult[~at_infinity], pos[~entry]))
     # every affine line meets the infinity line exactly once
     if aff.n != (n := len(arr.lines) - 1):
         raise RuntimeError(f"parallel classes cover {aff.n} of {n} affine lines; this is a bug")

@@ -63,7 +63,7 @@ def is_prime(p: int) -> bool:
 
 
 def _check_modulus(p) -> int:
-    p = int(p)
+    p = operator.index(p)  # as for entries: a float or a string is refused
     # the bound first: trial division up to sqrt(p) is slow for a huge p
     if p >= _MAX_MODULUS:
         raise NotPrimeError(f"modulus {p} is too large, need p < 2**31")
@@ -179,9 +179,6 @@ class FpVector(_FpArray):
 
     def __getitem__(self, i) -> int:
         return int(self.data[i])
-
-    def __iter__(self):
-        return (int(x) for x in self.data)
 
     def __repr__(self) -> str:
         return f"FpVector(p={self.p}, {self.tolist()})"

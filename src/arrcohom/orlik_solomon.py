@@ -82,12 +82,7 @@ class OSAlgebra:
 
     def deg1(self, coeffs) -> FpVector:
         v = coeffs if isinstance(coeffs, FpVector) else FpVector(self.p, coeffs)
-        self._check(v, 1)
-        return v
-
-    def deg2(self, coeffs) -> FpVector:
-        v = coeffs if isinstance(coeffs, FpVector) else FpVector(self.p, coeffs)
-        self._check(v, 2)
+        self._check(v)
         return v
 
     def unit(self, i: int) -> FpVector:
@@ -102,16 +97,15 @@ class OSAlgebra:
         """The sum of all degree 1 generators."""
         return FpVector(self.p, np.ones(self.n, dtype=np.int64))
 
-    def _check(self, v, degree: int, kind=FpVector) -> None:
-        # type, modulus and length of an operand; a block of one-forms
-        # (kind FpMatrix) is checked by its row count
+    def _check(self, v, kind=FpVector) -> None:
+        # type, modulus and length of a degree 1 operand; a block of
+        # one-forms (kind FpMatrix) is checked by its row count
         if not isinstance(v, kind):
             raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
         if v.p != self.p:
             raise ModulusMismatchError(f"p={v.p} vs algebra p={self.p}")
-        length, expected = v.data.shape[0], (self.n if degree == 1 else self.dim2)
-        if length != expected:
-            raise DimensionMismatchError(f"degree {degree} length {length}, expected {expected}")
+        if (length := v.data.shape[0]) != self.n:
+            raise DimensionMismatchError(f"degree 1 length {length}, expected {self.n}")
 
     def symbol_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Anchor and line of every degree 2 basis symbol, in basis order."""
@@ -146,8 +140,8 @@ class OSAlgebra:
         counts must match the algebra and each other.
         """
         kind = FpMatrix if isinstance(x, FpMatrix) and isinstance(y, FpMatrix) else FpVector
-        self._check(x, 1, kind)
-        self._check(y, 1, kind)
+        self._check(x, kind)
+        self._check(y, kind)
         if x.data.shape != y.data.shape:
             raise DimensionMismatchError(f"operand shapes {x.data.shape} vs {y.data.shape}")
         return kind(self.p, self._wedge(x.data, y.data))
@@ -157,7 +151,7 @@ class OSAlgebra:
         image of e_j. In closed form its entry at symbol (X, l) and column j
         is S_X(xi) [l = j] - [j on X] xi_l: -xi_l at every line of X, anchor
         included, plus S_X(xi) at column l."""
-        self._check(xi, 1)
+        self._check(xi)
         pt, ln, x, sym = self._sym_point, self._sym_line, xi.data, np.arange(self.dim2)
         d1 = np.zeros((self.dim2, self.n), dtype=np.int64)
         # row s of point X holds -xi_l at X's anchor and at the lines of X's

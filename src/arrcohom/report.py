@@ -173,9 +173,8 @@ def beta1_by_line(arr: ProjArrangement, primes, lines) -> dict[int, list[Beta1Re
     each prime to its results in line order. Only the first listed line is
     deconed, for the dense definition, which must agree there; no listed
     line gives empty lists."""
-    lines = list(lines)
-    for h in lines:
-        arr.check_index(h)  # BadIndexError (exit 2) before any work; aomoto may not import it
+    # BadIndexError (exit 2) before any work; aomoto may not import it
+    lines = [arr.check_index(h) for h in lines]
     results = beta1_sweep(arr.lattice, lines, primes)
     if not lines:
         return results

@@ -41,3 +41,18 @@ def box_sources(count, seed):
 def box_arrangements(count, seed):
     """The ``box_sources`` deconed at line 0."""
     return [decone(arr, 0) for arr in box_sources(count, seed)]
+
+
+def transformed(arr, sigma, g):
+    """Line i of the image is line sigma[i] of ``arr`` times g: the same
+    arrangement after a change of coordinates, lines relabelled by sigma."""
+    return ProjArrangement([tuple(sum(line[r] * g[r][c] for r in range(3)) for c in range(3))
+                            for line in (arr.lines[s] for s in sigma)])
+
+
+# unimodular: the identity, two with small entries, and a shear that lifts
+# small coefficients past 2**30
+UNIMODULAR = [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+              ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
+              ((2, 1, 0), (1, 1, 0), (0, 3, 1)),
+              ((1, 2**30, 0), (0, 1, 0), (0, 0, 1))]

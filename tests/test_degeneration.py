@@ -24,7 +24,7 @@ from arrcohom.geometry import AffineArrangement, decone
 from arrcohom.modp import FpMatrix, FpVector, ModulusMismatchError
 from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
-from conftest import box_sources
+from conftest import UNIMODULAR, box_sources, transformed
 
 
 def fig3_affine():
@@ -178,9 +178,10 @@ def test_parallel_pair_relation_fails_where_products_agree():
     # the source's products are those of three generic lines, but its
     # arrangement makes lines 0 and 1 parallel: the identity onto the
     # generic lines agrees with every product and breaks only the relation
-    generic3 = AffineArrangement(((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)))
+    generic3 = AffineArrangement(([1, 1, 1], [0, 1, 2]), ([2, 2, 2], [0, 1, 0, 2, 1, 2]))
     src = OSAlgebra(generic3, 3)
-    src.aff = AffineArrangement(((0, 1), (2,)), ((0, 2), (1, 2)))
+    src.aff = AffineArrangement(([2, 1], [0, 1, 2]), ([2, 2], [0, 2, 1, 2]))
+    assert (generic3.classes, src.aff.finite_points) == (((0,), (1,), (2,)), ((0, 2), (1, 2)))
     tgt = OSAlgebra(generic3, 3)
     deg1 = FpMatrix(3, np.eye(3, dtype=np.int64))
     dmap = DegenerationMap("total", None, src, tgt, deg1, induced_deg2(src, tgt, deg1))
@@ -452,7 +453,7 @@ def test_degree2_matrix_matches_wedges_exhaustively():
         dmap = delta_tot(aff, p)
         src, tgt = dmap.source, dmap.target
         for i, j in combinations(range(src.n), 2):
-            lhs = dmap.map2(src.wedge11(src.unit(i), src.unit(j)))
+            lhs = dmap.deg2_matrix @ src.wedge11(src.unit(i), src.unit(j))
             rhs = tgt.wedge11(dmap.map1(src.unit(i)), dmap.map1(src.unit(j)))
             assert lhs == rhs
 
@@ -506,3 +507,34 @@ def test_degeneration_errors():
         delta_dir(pencil_aff, 0, 3)
     with pytest.raises(BadClassError):
         delta_dir(fig3_affine(), 7, 3)
+
+
+def test_degenerations_are_invariant_under_relabelling(members):
+    # line i of the image is line sigma[i] of the source after a change of
+    # coordinates g, so deconing the source at h and the image at
+    # sigma^-1(h) gives the same family: the same class sizes, targets and
+    # verdicts, and the total map's deg1 with its columns moved with their
+    # lines and its rows with their classes
+    rng = random.Random(28)
+    sources = [arr for _, arr in members] + box_sources(20, seed=28)
+    for k, arr in enumerate(sources):
+        m = len(arr.lines)
+        sigma = rng.sample(range(m), m)
+        image = transformed(arr, sigma, UNIMODULAR[k % len(UNIMODULAR)])
+        inverse = {s: i for i, s in enumerate(sigma)}
+        for h in range(m):
+            old, new = decone(arr, h), decone(image, inverse[h])
+            assert sorted(map(len, old.classes)) == sorted(map(len, new.classes))
+            # generator s - (s > h) of the source is line s, of the image line inverse[s]
+            columns = [inverse[s] - (inverse[s] > inverse[h]) for s in range(m) if s != h]
+            for p in (2, 3, 5):
+                families = degenerations(old, p), degenerations(new, p)
+                targets = [sorted((d.kind, d.target.n, d.target.dim2) for d in f)
+                           for f in families]
+                assert targets[0] == targets[1]
+                assert all(d.verified for f in families for d in f)
+                if not families[0]:
+                    assert old.num_classes == 1
+                    continue
+                before, after = (f[0].deg1_matrix.data for f in families)
+                assert sorted(map(tuple, after[:, columns])) == sorted(map(tuple, before))

@@ -23,7 +23,7 @@ from arrcohom.geometry import (
 from arrcohom import catalog, geometry
 from arrcohom.degeneration import degenerations
 from arrcohom.report import beta1_by_line, mu_table, report
-from conftest import box_sources
+from conftest import UNIMODULAR, box_sources, transformed
 
 
 @pytest.mark.parametrize(
@@ -248,6 +248,18 @@ def test_decone_bad_index(braid):
         decone(braid, 6)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+def test_non_integer_line_index_refused(braid, bad):
+    # a line index and mu's k go through operator.index, as a coefficient does
+    for call in (lambda: decone(braid, bad), lambda: mu(braid, bad, 2),
+                 lambda: mu(braid, 0, bad), lambda: beta1_by_line(braid, [3], [bad])):
+        with pytest.raises(TypeError):
+            call()
+    # an integer of another type is an index
+    assert decone(braid, np.int64(2)) == decone(braid, 2)
+    assert mu(braid, np.int64(0), np.int8(2)) == mu(braid, 0, 2)
+
+
 def test_decone_rejects_foreign_lattice():
     # classes read off a lattice of another arrangement cannot cover the lines;
     # the foreign lattice is planted where the arrangement keeps its own
@@ -377,21 +389,6 @@ def test_lattice_at_the_dtype_boundary(bound):
     assert 4 in lattice(arr).histogram()  # the pencils do meet
 
 
-def _transformed(arr, sigma, g):
-    # line i of the image is line sigma[i] of arr times g: the same
-    # arrangement after a change of coordinates
-    return ProjArrangement([tuple(sum(line[r] * g[r][c] for r in range(3)) for c in range(3))
-                            for line in (arr.lines[s] for s in sigma)])
-
-
-# unimodular: the identity, two with small entries, and a shear that lifts
-# small coefficients past 2**30
-UNIMODULAR = [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-              ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
-              ((2, 1, 0), (1, 1, 0), (0, 3, 1)),
-              ((1, 2**30, 0), (0, 1, 0), (0, 0, 1))]
-
-
 def test_lattice_is_invariant_under_relabelling(members):
     # a permutation sigma of the lines and a change of coordinates g: the
     # incidences are relabelled by sigma, the histogram is kept and the
@@ -403,7 +400,7 @@ def test_lattice_is_invariant_under_relabelling(members):
         table = mu_table(arr)
         for g in UNIMODULAR:
             sigma = rng.sample(range(len(arr.lines)), len(arr.lines))
-            image = _transformed(arr, sigma, g)
+            image = transformed(arr, sigma, g)
             inverse = {s: i for i, s in enumerate(sigma)}
             relabelled = sorted(tuple(sorted(inverse[s] for s in inc))
                                 for inc in arr.lattice.incidences)

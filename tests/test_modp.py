@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ def test_bad_modulus_rejected(p):
         FpVector(p, [1])
 
 
+@pytest.mark.parametrize("p", [3.9, 2.5, "5", 5.0, None])
+def test_non_integer_modulus_refused(p):
+    # the modulus follows the rule for entries: refused, not truncated or parsed
+    with pytest.raises(TypeError):
+        FpVector(p, [1, 2, 4])
+    with pytest.raises(TypeError):
+        FpMatrix(p, [[7]])
+    with pytest.raises(TypeError):
+        OSAlgebra(decone(catalog.braid_a3(), 0), p)
+    assert FpVector(np.int64(5), [7]).p == 5
+
+
 def test_entries_reduced():
     m = FpMatrix(5, [[7, -1], [10, 4]])
     assert m.tolist() == [[2, 4], [0, 4]]
@@ -66,12 +79,15 @@ def test_integer_entries_of_any_size_reduced():
 def test_empty_and_integer_array_entries(monkeypatch):
     assert FpVector(3, []).tolist() == []
     assert FpMatrix(3, np.zeros((0, 4))).shape == (0, 4)
-    # integer and bool arrays are cast, never read entry by entry
-    monkeypatch.setattr(modp, "operator", None)
+    # integer and bool arrays are cast, never read entry by entry: only
+    # each modulus goes through operator.index
+    seen = []
+    monkeypatch.setattr(modp, "operator", SimpleNamespace(index=lambda x: seen.append(x) or x))
     assert FpVector(3, np.array([True, False])).tolist() == [1, 0]
     for dtype in (np.int8, np.uint16, np.int32, np.int64):
         assert FpVector(5, np.array([3, 4, 7], dtype=dtype)).tolist() == [3, 4, 2]
     assert FpMatrix(5, np.array([[9, -1]], dtype=np.int64)).tolist() == [[4, 4]]
+    assert seen == [3, 5, 5, 5, 5, 5]
 
 
 def test_rank_examples():

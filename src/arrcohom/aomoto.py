@@ -6,7 +6,10 @@ arrays ``AffineArrangement`` takes. ``beta1_sweep``, the one
 entry to the incidence kernel, reads the kernel of d1 at the all-ones
 form off the incidences (Falk's resonance over F_p), one listed deconing
 of a projective lattice at a time, over the incidence arrays the lattice
-keeps. The dense definition ``beta1_full`` is its independent check."""
+keeps. The dense definition ``beta1_full`` is its independent check. It
+ranks d1 without building it (``_rank_d1``): only its top rows, twice as
+many as its columns, are written, and products in the algebra give the
+rest, in O(n^2) memory per kernel vector of those rows."""
 
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AffineArrangement
-from .modp import FpMatrix, FpVector, _check_modulus, _rref_raw
+from .modp import FpMatrix, FpVector, _check_modulus, _kernel_raw, _matmul_mod, _rref_raw
 from .orlik_solomon import OSAlgebra
 
 __all__ = [
@@ -49,18 +52,39 @@ class Beta1Result:
     certificate: dict
 
 
-def _d1(alg: OSAlgebra, xi: FpVector) -> FpMatrix:
-    """The differential (xi wedge -) of the complex R -> A^1 -> A^2."""
-    d1 = alg.wedge_matrix(xi)
-    # d1 is written in closed form; check it against the product: d1 xi is
-    # xi wedge xi = 0, and d1 y is wedge11(xi, y) on one seeded one-form y
+def _d1(alg: OSAlgebra, xi: FpVector, rows: int) -> FpMatrix:
+    """The first ``rows`` rows of the differential (xi wedge -) of the
+    complex R -> A^1 -> A^2, all of it if dim2 <= rows."""
+    d1 = alg.wedge_matrix(xi, rows)
+    # d1 is written in closed form; check its rows against the product: d1 xi
+    # is xi wedge xi = 0, and d1 y is wedge11(xi, y) on one seeded one-form y
     y = FpVector(alg.p, random.Random(0).choices(range(alg.p), k=alg.n))
     images = (d1 @ FpMatrix(alg.p, np.stack([xi.data, y.data], axis=1))).data
     if images[:, 0].any():
         raise RuntimeError("wedge matrix does not annihilate xi; this is a bug")
-    if not np.array_equal(images[:, 1], alg.wedge11(xi, y).data):
+    if not np.array_equal(images[:, 1], alg.wedge11(xi, y).data[:len(images)]):
         raise RuntimeError("wedge matrix disagrees with wedge11 on a seeded form; this is a bug")
     return d1
+
+
+def _rank_d1(alg: OSAlgebra, xi: FpVector, basis: FpMatrix | None = None) -> int:
+    """rank(d1 @ basis), basis the identity if None, with only the top
+    2 * cols rows B of d1 built. K's rows span ker(B @ basis); the rows of
+    d1 @ basis below B, times K^T, are xi wedge (basis @ K^T), one product
+    per column, since d1 y = xi wedge y. So by the tall-rank identity of
+    ``modp`` the rank is cols - len(K) plus the rank of that product's rows
+    below B, and memory stays O(2 * cols * n + dim2 * len(K))."""
+    p, cols = alg.p, alg.n if basis is None else basis.shape[1]
+    top = _d1(alg, xi, 2 * cols)
+    if basis is not None:
+        top = top @ basis
+    if alg.dim2 <= 2 * cols:
+        return top.rank()
+    kt = _kernel_raw(top.data, p).T  # K^T: one kernel vector per column
+    ys = kt if basis is None else _matmul_mod(basis.data, kt, p)
+    xis = FpMatrix(p, np.repeat(xi.data[:, None], kt.shape[1], axis=1))
+    rest = alg.wedge11(xis, FpMatrix(p, ys)).data[2 * cols:]
+    return cols - kt.shape[1] + FpMatrix(p, rest).rank()
 
 
 def _full_result(n: int, dim2: int, rank_d0: int, rank_d1: int) -> Beta1Result:
@@ -74,7 +98,7 @@ def beta1_full(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     wedging into degree 2, minus the image of degree 0."""
     xi = alg.deg1(xi)
     rank_d0 = 0 if xi.is_zero() else 1
-    return _full_result(alg.n, alg.dim2, rank_d0, _d1(alg, xi).rank())
+    return _full_result(alg.n, alg.dim2, rank_d0, _rank_d1(alg, xi))
 
 
 def _components(flat, owner, mult, join, m):
@@ -153,8 +177,7 @@ def beta1_restricted(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
         raise NotInvertibleError(
             f"coefficient sum is 0 mod {alg.p}; use the full computation"
         )
-    restricted = _d1(alg, xi) @ sum_zero_basis(alg.n, alg.p)
-    rank_restricted = restricted.rank()
+    rank_restricted = _rank_d1(alg, xi, sum_zero_basis(alg.n, alg.p))
     value = (alg.n - 1) - rank_restricted
     certificate = {
         "dim_sub": alg.n - 1,

@@ -15,6 +15,9 @@ to its fill-in, not to its full size.
 A matrix with more than 2 * cols rows has rank rank(B) + rank(C @ K.T),
 where B is its top 2 * cols rows, C the rest and K's rows a basis of ker B:
 v -> v @ K.T kills exactly the annihilator of ker B, the row space of B.
+So C is needed only through C @ K.T: ``FpMatrix.rank`` forms it as a matrix
+product, and ``aomoto`` ranks d1 with C never built, since d1's rows below B
+times K.T are the Orlik-Solomon products of xi with the columns of K.T.
 """
 
 from __future__ import annotations
@@ -78,10 +81,11 @@ def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     nonzero entry. The entries are reduced mod p on entry; ``a`` itself is
     left unchanged.
 
-    A pivot at row r and column c is normalized on columns c onward, then
-    cleared from every other row with a nonzero entry in column c, above
-    and below r, on columns c onward only: the pivot row is zero left of c,
-    and a row with a zero entry in column c would subtract zero."""
+    A pivot at row r and column c is normalized on columns c onward (unless
+    it is already 1), then cleared from every other row with a nonzero
+    entry in column c, above and below r, on columns c onward only: the
+    pivot row is zero left of c, and a row with a zero entry in column c
+    would subtract zero."""
     a = a % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -89,18 +93,21 @@ def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        hit = np.flatnonzero(a[:, c])
-        below = hit[hit >= r]
-        if below.size == 0:
+        hit = a[:, c].nonzero()[0]
+        i = int(hit.searchsorted(r))
+        if i == hit.size:
             continue
-        top = int(below[0])
+        top = int(hit[i])
         if top != r:
             a[[r, top]] = a[[top, r]]
         # rows to clear: the swap moved top's nonzero entry to r and r's zero to top
-        hit = hit[hit != top]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        hit = np.delete(hit, i)
+        row = a[r, c:]
+        if row[0] != 1:
+            row *= pow(int(row[0]), -1, p)
+            row %= p
         blk = a[hit, c:]
-        blk -= np.outer(blk[:, 0], a[r, c:])
+        blk -= blk[:, :1] * row
         blk %= p
         a[hit, c:] = blk
         pivots.append(c)

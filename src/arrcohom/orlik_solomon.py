@@ -146,22 +146,26 @@ class OSAlgebra:
             raise DimensionMismatchError(f"operand shapes {x.data.shape} vs {y.data.shape}")
         return kind(self.p, self._wedge(x.data, y.data))
 
-    def wedge_matrix(self, xi: FpVector) -> FpMatrix:
+    def wedge_matrix(self, xi: FpVector, rows: int | None = None) -> FpMatrix:
         """Matrix of (xi wedge -) from degree 1 to degree 2; column j is the
         image of e_j. In closed form its entry at symbol (X, l) and column j
         is S_X(xi) [l = j] - [j on X] xi_l: -xi_l at every line of X, anchor
-        included, plus S_X(xi) at column l."""
+        included, plus S_X(xi) at column l. With ``rows``, only the first
+        ``rows`` rows are built (all dim2 if there are fewer), in
+        O(rows * n) memory; the whole matrix takes O(dim2 * n)."""
         self._check(xi)
-        pt, ln, x, sym = self._sym_point, self._sym_line, xi.data, np.arange(self.dim2)
-        d1 = np.zeros((self.dim2, self.n), dtype=np.int64)
+        r = self.dim2 if rows is None else min(rows, self.dim2)
+        pt, ln, x, sym = self._sym_point[:r], self._sym_line, xi.data, np.arange(r)
+        d1 = np.zeros((r, self.n), dtype=np.int64)
         # row s of point X holds -xi_l at X's anchor and at the lines of X's
-        # k symbols, which are contiguous from X's first symbol
-        d1[sym, self._anchor[pt]] = -x[ln]
+        # k symbols, which are contiguous from X's first symbol (and may lie
+        # past row r)
+        d1[sym, self._anchor[pt]] = -x[ln[:r]]
         k = np.diff(self._sym_start, append=self.dim2)[pt]
-        rows = np.repeat(sym, k)
+        cells = np.repeat(sym, k)
         shift = np.repeat(self._sym_start[pt] - np.cumsum(k) + k, k)
-        d1[rows, ln[shift + np.arange(rows.size)]] = -x[ln[rows]]
-        d1[sym, ln] += self._point_sums(x)[pt]
+        d1[cells, ln[shift + np.arange(cells.size)]] = -x[ln[cells]]
+        d1[sym, ln[:r]] += self._point_sums(x)[pt]
         return FpMatrix(self.p, d1)
 
 

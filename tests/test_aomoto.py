@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from arrcohom import catalog
 from arrcohom.aomoto import (
+    _rank_d1,
     BadSizeError,
     NotInvertibleError,
     beta1_full,
@@ -204,7 +206,7 @@ def test_pencil_deconing_degenerate_path():
 def test_complex_rejects_wedge_matrix_not_killing_xi(monkeypatch, braid):
     alg = OSAlgebra(decone(braid, 2), 3)
 
-    def broken(self, xi):
+    def broken(self, xi, rows=None):
         return FpMatrix(self.p, np.ones((self.dim2, self.n), dtype=np.int64))
 
     monkeypatch.setattr(OSAlgebra, "wedge_matrix", broken)
@@ -223,7 +225,8 @@ def test_complex_rejects_wedge_matrix_disagreeing_with_wedge11(monkeypatch, brai
     # only the cross-check against wedge11 can fire
     assert not np.array_equal(swapped, true_d1.data)
     assert (FpMatrix(p, swapped) @ alg.ones()).is_zero()
-    monkeypatch.setattr(OSAlgebra, "wedge_matrix", lambda self, xi: FpMatrix(self.p, swapped))
+    monkeypatch.setattr(OSAlgebra, "wedge_matrix",
+                        lambda self, xi, rows=None: FpMatrix(self.p, swapped))
     with pytest.raises(RuntimeError, match="disagrees with wedge11.*; this is a bug"):
         beta1_full(alg, alg.ones())
 
@@ -256,3 +259,73 @@ def test_incidence_kernel_matches_definition_and_oracle(every_deconing, p):
         assert res.value == QuotientOSOracle(aff, p).beta1([1] * aff.n)
         nonzero += res.value > 0
     assert nonzero > 0
+
+
+def _check_product_rank(alg, xi):
+    """The product-route rank of d1 and of d1 restricted to the sum-zero
+    subspace against the dense ranks of the whole d1, and beta1 against the
+    quotient oracle and, where the coefficient sum is invertible, against
+    the restricted shortcut; True if d1 is tall enough for the product."""
+    d1, basis = alg.wedge_matrix(xi), sum_zero_basis(alg.n, alg.p)
+    assert _rank_d1(alg, xi) == d1.rank()
+    assert _rank_d1(alg, xi, basis) == (d1 @ basis).rank()
+    full = beta1_full(alg, xi)
+    assert full.value == QuotientOSOracle(alg.aff, alg.p).beta1(xi.data)
+    if xi.sum():
+        assert beta1_restricted(alg, xi).value == full.value
+    return alg.dim2 > 2 * alg.n
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
+def test_product_rank_matches_dense_rank_and_oracle(members, p):
+    rng = random.Random(p)
+    deconings = [(arr, h) for _, arr in members for h in range(len(arr.lines))]
+    deconings += [(arr, 0) for arr in box_sources(20, 29)]
+    tall = 0
+    for arr, h in deconings:
+        alg = OSAlgebra(decone(arr, h), p)
+        for xi in (alg.ones(), alg.deg1(rng.choices(range(p), k=alg.n))):
+            tall += _check_product_rank(alg, xi)
+    assert 0 < tall < 2 * len(deconings)  # both routes ran
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
+def test_product_rank_edge_cases(braid, p):
+    # xi = 0: B is all zero and K the identity
+    alg = OSAlgebra(decone(catalog.generic(9), 0), p)
+    assert alg.dim2 > 2 * alg.n
+    assert _check_product_rank(alg, alg.deg1([0] * alg.n))
+    # dim2 <= 2n: no product step
+    alg = OSAlgebra(decone(braid, 2), p)
+    assert not _check_product_rank(alg, alg.ones())
+    # a near-pencil is never tall (dim2 = m - 2 at every deconing), so a
+    # 6-line pencil gets four tangent lines and is deconed at one of them:
+    # the pencil point comes first, and its 5 symbols head B, one repeated
+    # row at xi = ones where p divides 6
+    pencil = [(0, 1, 0)] + [(1, -k, 0) for k in range(5)]
+    arr = ProjArrangement.from_coeffs(pencil + [(1, t, t * t) for t in (3, 5, 7, 11)])
+    alg = OSAlgebra(decone(arr, 6), p)
+    assert alg.aff.finite_points[0] == tuple(range(6))
+    assert _check_product_rank(alg, alg.ones())
+    # a form zero on the lines of the first points: the top rows of d1 at
+    # those points vanish, and the rest of the rank comes from the product
+    alg = OSAlgebra(decone(catalog.generic(12), 0), p)
+    xi = alg.deg1([0] * 6 + [1, 2, 3, 4, 5])
+    head = alg.wedge_matrix(xi, 2 * alg.n).data
+    assert alg.aff.finite_points[:5] == tuple((0, j) for j in range(1, 6))
+    assert not head[:5].any() and head.any()
+    assert _check_product_rank(alg, xi)
+
+
+def test_beta1_memory_stays_below_a_quarter_of_d1():
+    alg = OSAlgebra(decone(catalog.generic(200), 0), 3)
+    d1_bytes = alg.dim2 * alg.n * 8
+    assert d1_bytes == 19_701 * 199 * 8
+    for fn in (beta1_full, beta1_restricted):  # coefficient sum 199 is 1 mod 3
+        tracemalloc.start()
+        try:
+            fn(alg, alg.ones())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d1_bytes / 4, (fn.__name__, peak)

@@ -58,8 +58,8 @@ def _d1(alg: OSAlgebra, xi: FpVector, rows: int) -> FpMatrix:
     d1 = alg.wedge_matrix(xi, rows)
     # d1 is written in closed form; check its rows against the product: d1 xi
     # is xi wedge xi = 0, and d1 y is wedge11(xi, y) on one seeded one-form y
-    y = FpVector(alg.p, random.Random(0).choices(range(alg.p), k=alg.n))
-    images = (d1 @ FpMatrix(alg.p, np.stack([xi.data, y.data], axis=1))).data
+    y = FpVector._of(alg.p, np.array(random.Random(0).choices(range(alg.p), k=alg.n), np.int64))
+    images = (d1 @ FpMatrix._of(alg.p, np.stack([xi.data, y.data], axis=1))).data
     if images[:, 0].any():
         raise RuntimeError("wedge matrix does not annihilate xi; this is a bug")
     if not np.array_equal(images[:, 1], alg.wedge11(xi, y).data[:len(images)]):
@@ -82,9 +82,9 @@ def _rank_d1(alg: OSAlgebra, xi: FpVector, basis: FpMatrix | None = None) -> int
         return top.rank()
     kt = _kernel_raw(top.data, p).T  # K^T: one kernel vector per column
     ys = kt if basis is None else _matmul_mod(basis.data, kt, p)
-    xis = FpMatrix(p, np.repeat(xi.data[:, None], kt.shape[1], axis=1))
-    rest = alg.wedge11(xis, FpMatrix(p, ys)).data[2 * cols:]
-    return cols - kt.shape[1] + FpMatrix(p, rest).rank()
+    xy, j = FpMatrix._of(p, np.column_stack((xi.data, ys))), np.arange(1, kt.shape[1] + 1)
+    rest = alg.wedge_columns(xy, 0 * j, j).data[2 * cols:]  # xi is column 0, y_j column j
+    return cols - len(j) + FpMatrix._of(p, rest).rank()
 
 
 def _full_result(n: int, dim2: int, rank_d0: int, rank_d1: int) -> Beta1Result:

@@ -3,13 +3,13 @@
 The total degeneration collapses every parallel class of an affine
 arrangement to a single line through one common point; the directional
 degeneration keeps one class and collapses everything else to a single
-transversal. Both are materialized as matrices on the degree 1 and
-degree 2 coordinates. ``delta_tot`` and ``delta_dir`` build one map each,
-unverified; ``degenerations`` builds a deconing's whole family over one
-shared source algebra and verifies it on its relations and basis symbols
-in one ``verify_homomorphism`` call, in the direct sum of its targets, where
-the whole family's induced degree 2 matrix is one product. A family that
-fails is a bug and raises, so every map it returns carries ``verified=True``.
+transversal. Both are materialized as matrices on the degree 1 and degree 2
+coordinates. ``delta_tot`` and ``delta_dir`` build one map each, unverified;
+``degenerations`` builds a deconing's family over one source algebra and
+verifies it in one ``verify_homomorphism`` call in the direct sum of its
+targets. Products are ``OSAlgebra.wedge_columns`` of a degree 1 matrix's
+columns, with point sums taken once per degree 1 block. A family that fails
+is a bug and raises, so every map it returns carries ``verified=True``.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class DegenerationMap:
         return self.deg1_matrix @ self.source.deg1(x)
 
 
-def _columns(mat: FpMatrix, idx) -> FpMatrix:
-    return FpMatrix(mat.p, mat.data[:, idx])
-
-
 def induced_deg2(source: OSAlgebra, target: OSAlgebra, deg1_matrix: FpMatrix) -> FpMatrix:
     """Degree 2 matrix induced by a degree 1 assignment.
 
@@ -86,7 +82,7 @@ def induced_deg2(source: OSAlgebra, target: OSAlgebra, deg1_matrix: FpMatrix) ->
     forms in the target.
     """
     anchors, lines = source.symbol_factors()
-    return target.wedge11(_columns(deg1_matrix, anchors), _columns(deg1_matrix, lines))
+    return target.wedge_columns(deg1_matrix, anchors, lines)
 
 
 def _source(aff, p: int) -> OSAlgebra:
@@ -100,7 +96,7 @@ def _source(aff, p: int) -> OSAlgebra:
 
 
 def _build(kind, class_index, source, model, m) -> DegenerationMap:
-    target, deg1 = OSAlgebra(model, source.p), FpMatrix(source.p, m)
+    target, deg1 = OSAlgebra(model, source.p), FpMatrix._of(source.p, m)
     return DegenerationMap(kind, class_index, source, target, deg1,
                            induced_deg2(source, target, deg1))
 
@@ -180,11 +176,11 @@ def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     if any(m.p != src.p for d in dmaps for m in (d.target, d.deg1_matrix, d.deg2_matrix)):
         raise ModulusMismatchError(f"every map verified over p={src.p} must be over it throughout")
     target = _direct_sum([d.target for d in dmaps])
-    deg1 = FpMatrix(src.p, np.vstack([d.deg1_matrix.data for d in dmaps]))
-    deg2 = FpMatrix(src.p, np.vstack([d.deg2_matrix.data for d in dmaps]))
+    deg1 = FpMatrix._of(src.p, np.vstack([d.deg1_matrix.data for d in dmaps]))
+    deg2 = FpMatrix._of(src.p, np.vstack([d.deg2_matrix.data for d in dmaps]))
 
     def image_wedges(i, j) -> np.ndarray:
-        return target.wedge11(_columns(deg1, i), _columns(deg1, j)).data
+        return target.wedge_columns(deg1, i, j).data
 
     for i, j in _chunks(relation_pairs(src.aff)):
         if image_wedges(i, j).any():
@@ -196,8 +192,8 @@ def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     for cut in (slice(s, s + _CHUNK) for s in range(0, src.dim2, _CHUNK)):
         if not np.array_equal(deg2.data[:, cut], image_wedges(anchors[cut], lines[cut])):
             return False
-    draws = random.Random(0).choices(range(src.p), k=2 * src.n * _PAIRS)
-    x, y = (FpMatrix(src.p, d) for d in np.array(draws, dtype=np.int64).reshape(2, src.n, _PAIRS))
+    draws = np.array(random.Random(0).choices(range(src.p), k=2 * src.n * _PAIRS), dtype=np.int64)
+    x, y = (FpMatrix._of(src.p, d) for d in draws.reshape(2, src.n, _PAIRS))
     return (deg2 @ src.wedge11(x, y)) == target.wedge11(deg1 @ x, deg1 @ y)
 
 

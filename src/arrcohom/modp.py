@@ -18,6 +18,10 @@ v -> v @ K.T kills exactly the annihilator of ker B, the row space of B.
 So C is needed only through C @ K.T: ``FpMatrix.rank`` forms it as a matrix
 product, and ``aomoto`` ranks d1 with C never built, since d1's rows below B
 times K.T are the Orlik-Solomon products of xi with the columns of K.T.
+
+The public constructors ``FpVector`` and ``FpMatrix`` are the trust boundary:
+they check the modulus, refuse non-integer entries and reduce every entry.
+Residues computed inside the package are wrapped by ``_FpArray._of`` unchecked.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if top != r:
             a[[r, top]] = a[[top, r]]
         # rows to clear: the swap moved top's nonzero entry to r and r's zero to top
-        hit = np.delete(hit, i)
+        hit = np.concatenate((hit[:i], hit[i + 1:]))
         row = a[r, c:]
         if row[0] != 1:
             row *= pow(int(row[0]), -1, p)
@@ -156,9 +160,16 @@ class _FpArray:
                             dtype=np.int64).reshape(data.shape)
         if data.ndim != self._ndim:
             raise DimensionMismatchError(f"expected a {self._kind}, got shape {data.shape}")
-        data = data.astype(np.int64, copy=False) % self.p
+        self.data = data.astype(np.int64, copy=False) % self.p
+        self.data.flags.writeable = False
+
+    @classmethod
+    def _of(cls, p: int, data: np.ndarray):
+        """Wrap int64 residues mod the checked prime p, read-only, unchecked and uncopied."""
+        obj = object.__new__(cls)
         data.flags.writeable = False
-        self.data = data
+        obj.p, obj.data = p, data
+        return obj
 
     def __eq__(self, other) -> bool:
         return (
@@ -203,11 +214,11 @@ class FpVector(_FpArray):
 
     def __add__(self, other: "FpVector") -> "FpVector":
         self._binop_check(other)
-        return FpVector(self.p, (self.data + other.data) % self.p)
+        return FpVector._of(self.p, (self.data + other.data) % self.p)
 
     def __sub__(self, other: "FpVector") -> "FpVector":
         self._binop_check(other)
-        return FpVector(self.p, (self.data - other.data) % self.p)
+        return FpVector._of(self.p, (self.data - other.data) % self.p)
 
 
 class FpMatrix(_FpArray):
@@ -232,7 +243,7 @@ class FpMatrix(_FpArray):
 
     def kernel_basis(self) -> list[FpVector]:
         """Basis of the right null space; empty list for injective maps."""
-        return [FpVector(self.p, row) for row in _kernel_raw(self.data, self.p)]
+        return [FpVector._of(self.p, row) for row in _kernel_raw(self.data, self.p)]
 
     def __matmul__(self, other):
         """Product with a matrix or a vector, of the same type as ``other``."""
@@ -242,4 +253,4 @@ class FpMatrix(_FpArray):
             raise ModulusMismatchError(f"p={self.p} vs p={other.p}")
         if other.data.shape[0] != self.data.shape[1]:
             raise DimensionMismatchError(f"{self.shape} @ {other.data.shape}")
-        return type(other)(self.p, _matmul_mod(self.data, other.data, self.p))
+        return type(other)._of(self.p, _matmul_mod(self.data, other.data, self.p))

@@ -89,13 +89,11 @@ class OSAlgebra:
         """The generator e_i."""
         if not 0 <= i < self.n:
             raise IndexError(f"generator index {i} out of range 0..{self.n - 1}")
-        e = np.zeros(self.n, dtype=np.int64)
-        e[i] = 1
-        return FpVector(self.p, e)
+        return FpVector._of(self.p, np.eye(1, self.n, i, dtype=np.int64)[0])
 
     def ones(self) -> FpVector:
         """The sum of all degree 1 generators."""
-        return FpVector(self.p, np.ones(self.n, dtype=np.int64))
+        return FpVector._of(self.p, np.ones(self.n, dtype=np.int64))
 
     def _check(self, v, kind=FpVector) -> None:
         # type, modulus and length of a degree 1 operand; a block of
@@ -113,22 +111,25 @@ class OSAlgebra:
 
     # ---- products --------------------------------------------------------
 
-    def _point_sums(self, x: np.ndarray) -> np.ndarray:
-        # S_X(x) for every finite point X (one row per point), reduced mod p
-        segment = np.add.reduceat(x[self._sym_line], self._sym_start, axis=0)
-        return (x[self._anchor] + segment) % self.p
+    def _factors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # S_X(x), reduced mod p, and x_j at each symbol (X, j), one row per symbol
+        lines = x[self._sym_line]
+        sums = (x[self._anchor] + np.add.reduceat(lines, self._sym_start, axis=0)) % self.p
+        return sums[self._sym_point], lines
 
-    def _wedge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # S_X(x) y_j - S_X(y) x_j, in place so that a block result has at
-        # most three dim2-sized temporaries; both factors of each product
-        # are below p, so it stays below 2**62
-        pt, ln = self._sym_point, self._sym_line
-        out = self._point_sums(x)[pt]
-        out *= y[ln]
-        rhs = self._point_sums(y)[pt]
-        rhs *= x[ln]
+    def wedge_columns(self, f: FpMatrix, i, j) -> FpMatrix:
+        """Column c of the dim2 x len(i) result is f[:, i[c]] ^ f[:, j[c]], for
+        a block ``f`` of one-forms as columns. S_X is summed over f's columns
+        once; each product in S_X(x) y_j - S_X(y) x_j is below p**2 < 2**62."""
+        self._check(f, FpMatrix)
+        sums, lines = self._factors(f.data)
+        out = sums.take(i, axis=1)
+        out *= lines.take(j, axis=1)
+        rhs = sums.take(j, axis=1)
+        rhs *= lines.take(i, axis=1)
         out -= rhs
-        return out
+        out %= self.p
+        return FpMatrix._of(self.p, out)
 
     def wedge11(self, x, y):
         """Bilinear antisymmetric product of degree 1 elements.
@@ -136,15 +137,16 @@ class OSAlgebra:
         Two ``FpVector`` one-forms give their product as an ``FpVector`` of
         length dim2. Two ``FpMatrix`` operands of shape n x k, whose columns
         are one-forms, give the dim2 x k ``FpMatrix`` whose column c is the
-        product of the two columns c; their moduli, row counts and column
-        counts must match the algebra and each other.
-        """
+        product of the two columns c, through ``wedge_columns``; their moduli,
+        row counts and column counts must match the algebra and each other."""
         kind = FpMatrix if isinstance(x, FpMatrix) and isinstance(y, FpMatrix) else FpVector
         self._check(x, kind)
         self._check(y, kind)
         if x.data.shape != y.data.shape:
             raise DimensionMismatchError(f"operand shapes {x.data.shape} vs {y.data.shape}")
-        return kind(self.p, self._wedge(x.data, y.data))
+        both = FpMatrix._of(self.p, np.column_stack((x.data, y.data)))  # x's columns, then y's
+        out = self.wedge_columns(both, *np.arange(both.shape[1]).reshape(2, -1))
+        return out if kind is FpMatrix else FpVector._of(self.p, out.data[:, 0])
 
     def wedge_matrix(self, xi: FpVector, rows: int | None = None) -> FpMatrix:
         """Matrix of (xi wedge -) from degree 1 to degree 2; column j is the
@@ -165,8 +167,9 @@ class OSAlgebra:
         cells = np.repeat(sym, k)
         shift = np.repeat(self._sym_start[pt] - np.cumsum(k) + k, k)
         d1[cells, ln[shift + np.arange(cells.size)]] = -x[ln[cells]]
-        d1[sym, ln[:r]] += self._point_sums(x)[pt]
-        return FpMatrix(self.p, d1)
+        d1[sym, ln[:r]] += self._factors(x)[0][:r]
+        d1 %= self.p
+        return FpMatrix._of(self.p, d1)
 
 
 class QuotientOSOracle:

@@ -15,6 +15,7 @@ from arrcohom.catalog import BUILTINS, BadParameterError, build_named
 from arrcohom.cli import canonical_json, main
 from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
 from arrcohom.geometry import IntersectionLattice, decone, intersect
+from conftest import box_sources
 from test_geometry import _huge_arrangement
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,6 +104,34 @@ def test_lattice_output_is_pinned_on_huge_coordinates(capsys, tmp_path):
         pt = intersect(arr.lines[i], arr.lines[j])
         assert item["point"] == list(pt)
         assert row.startswith("  ({}:{}:{})  ".format(*pt))
+
+
+# `degenerate` output, byte for byte: the SHA-256 of its stdout on catalog
+# members and on the first of box_sources(60, seed=1) with at least 8
+# parallel classes, in both layouts and at small primes
+DEGENERATE_SHA256 = {
+    ("--builtin", "fig3", "--prime", "3"):
+        "6ee900b25a0d97d6d1059e9db8e60a1a4dab59e92f02d780b7fcfb203cf687c7",
+    ("--builtin", "b3", "--prime", "2", "--json"):
+        "611a4196f9a1230eabb6398ed5cf89ebf8f56d384e931b9c0aa889d3599d9662",
+    ("--builtin", "generic", "--m", "60", "--prime", "3", "--json"):
+        "dd476cfe58730e4c5f725fafae3f5ec1d50373b1d999034dedb0a6c27ddfb0be",
+    ("box", "--prime", "5", "--json"):
+        "af4001dd4c1b17a4b0cc56f7c692c59faa39b40a1445bef21a9cdaf71b29d5f8",
+}
+
+
+@pytest.mark.parametrize("argv", list(DEGENERATE_SHA256))
+def test_degenerate_output_is_pinned(capsys, tmp_path, argv):
+    want = DEGENERATE_SHA256[argv]
+    if argv[0] == "box":
+        arr = next(a for a in box_sources(60, seed=1) if decone(a, 0).num_classes >= 8)
+        path = tmp_path / "box.arr"
+        path.write_text("".join("{} {} {}\n".format(*line) for line in arr.lines))
+        argv = (str(path),) + argv[1:]
+    code, out, err = run(capsys, "degenerate", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_lattice_pencil(capsys):

@@ -393,17 +393,17 @@ def test_direct_sum_products_are_stacked_summand_products(p):
 
 def test_family_verification_wedges_once_per_stage(monkeypatch):
     # the images of the whole family are wedged together, so a family costs
-    # as many wedge11 calls as its first map alone
+    # as many product kernel calls as its first map alone
     arr = next(a for a in box_sources(60, seed=1) if decone(a, 0).num_classes >= 8)
     family = degenerations(decone(arr, 0), 3)
     calls = []
-    honest = OSAlgebra.wedge11
+    honest = OSAlgebra.wedge_columns
 
-    def counting(self, x, y):
+    def counting(self, f, i, j):
         calls.append(self)
-        return honest(self, x, y)
+        return honest(self, f, i, j)
 
-    monkeypatch.setattr(OSAlgebra, "wedge11", counting)
+    monkeypatch.setattr(OSAlgebra, "wedge_columns", counting)
     assert verify_homomorphism(family[0])
     alone = len(calls)
     calls.clear()

@@ -69,11 +69,12 @@ def _d1(alg: OSAlgebra, xi: FpVector, rows: int) -> FpMatrix:
 
 def _rank_d1(alg: OSAlgebra, xi: FpVector, basis: FpMatrix | None = None) -> int:
     """rank(d1 @ basis), basis the identity if None, with only the top
-    2 * cols rows B of d1 built. K's rows span ker(B @ basis); the rows of
-    d1 @ basis below B, times K^T, are xi wedge (basis @ K^T), one product
-    per column, since d1 y = xi wedge y. So by the tall-rank identity of
-    ``modp`` the rank is cols - len(K) plus the rank of that product's rows
-    below B, and memory stays O(2 * cols * n + dim2 * len(K))."""
+    2 * cols rows of d1 built. A matrix with top rows B and the rest C has
+    rank rank(B) + rank(C @ K^T), K's rows a basis of ker B: v -> v @ K^T
+    kills exactly the annihilator of ker B, the row space of B. Here B is
+    the top of d1 @ basis, of rank cols - len(K), and C @ K^T the bottom of
+    xi wedge (basis @ K^T), one product per column, since d1 y = xi wedge
+    y; so C is never built, and memory stays O(2 * cols * n + dim2 * len(K))."""
     p, cols = alg.p, alg.n if basis is None else basis.shape[1]
     top = _d1(alg, xi, 2 * cols)
     if basis is not None:

@@ -12,13 +12,6 @@ column c touches only the rows with a nonzero entry in column c and only
 the columns from c on, so a sparse matrix such as d1 costs in proportion
 to its fill-in, not to its full size.
 
-A matrix with more than 2 * cols rows has rank rank(B) + rank(C @ K.T),
-where B is its top 2 * cols rows, C the rest and K's rows a basis of ker B:
-v -> v @ K.T kills exactly the annihilator of ker B, the row space of B.
-So C is needed only through C @ K.T: ``FpMatrix.rank`` forms it as a matrix
-product, and ``aomoto`` ranks d1 with C never built, since d1's rows below B
-times K.T are the Orlik-Solomon products of xi with the columns of K.T.
-
 The public constructors ``FpVector`` and ``FpMatrix`` are the trust boundary:
 they check the modulus, refuse non-integer entries and reduce every entry.
 Residues computed inside the package are wrapped by ``_FpArray._of`` unchecked.
@@ -235,11 +228,10 @@ class FpMatrix(_FpArray):
         return f"FpMatrix(p={self.p}, shape={self.shape})"
 
     def rank(self) -> int:
-        a, p, top = self.data, self.p, 2 * self.data.shape[1]
-        if a.shape[0] <= top:
-            return len(_rref_raw(a, p)[1])
-        ker = _kernel_raw(a[:top], p)  # tall: see the module docstring
-        return a.shape[1] - len(ker) + len(_rref_raw(_matmul_mod(a[top:], ker.T, p), p)[1])
+        """Rank by one elimination, tall or not. On a fully built d1 this is
+        over ten times slower than ``aomoto._rank_d1`` at generic-120, which
+        ranks d1 without building it."""
+        return len(_rref_raw(self.data, self.p)[1])
 
     def kernel_basis(self) -> list[FpVector]:
         """Basis of the right null space; empty list for injective maps."""

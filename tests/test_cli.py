@@ -567,15 +567,29 @@ def test_usage_error_exits_2():
 
 
 def test_closed_stdout_exits_141_quietly():
+    # stdout block-buffered, as by default: PYTHONUNBUFFERED would leave no
+    # write in the buffer for the flush at exit
+    code = "import sys; from arrcohom.cli import main; sys.exit(main())"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
     # about 350 KB of text, more than a pipe buffer holds, so the writes
     # after the reader has gone always hit the closed pipe
-    code = "import sys; from arrcohom.cli import main; sys.exit(main())"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.Popen([sys.executable, "-c", code, "lattice", "--builtin", "generic",
                              "--m", "120"], env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     assert proc.stdout.readline() == b"120 lines, 7140 intersection points\n"
     proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    # the reader gone before the first write, and all of a short output still
+    # buffered when main's flush fails: unless stdout then points at devnull,
+    # the flush at exit fails again, and Python reports it and exits 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-c", code, "lattice", "--builtin", "braid-a3"],
+                            env=env, stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()

@@ -31,7 +31,9 @@ def test_is_prime():
     assert not is_prime(-7)
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, 2**31, 2**61 - 1])
+# 2147483659 is the smallest prime above 2**31, the cap that the int64
+# bounds of the kernels (such as p**2 < 2**62) assume
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, 2**31, 2147483659, 2**61 - 1])
 def test_bad_modulus_rejected(p):
     with pytest.raises(NotPrimeError):
         FpMatrix(p, [[1]])
@@ -349,8 +351,9 @@ def test_rank_matches_rref_pivots(case):
 
 @pytest.mark.parametrize("p", DIFF_PRIMES)
 def test_tall_rank_matches_rref_pivots_on_fixed_cases(p):
-    # a matrix with more than 2 * cols rows is ranked through the kernel of
-    # its top 2 * cols rows; these cases put the rank in either block
+    # tall matrices split at their top 2 * cols rows, where aomoto._rank_d1
+    # takes the rank through the kernel of the top block; these cases put
+    # the rank in either block
     cols = 6
     rng = np.random.default_rng(p % 1000)
 

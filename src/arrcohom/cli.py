@@ -28,7 +28,10 @@ import json
 import os
 import re
 import sys
+from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 from . import catalog
 from .degeneration import degenerations
@@ -57,6 +60,51 @@ class ParseError(ValueError):
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
+
+
+# matrix entries formatted at a time, so that no temporary grows with the matrix
+_FORMAT_ENTRIES = 1 << 16
+
+
+def _format_rows(a: np.ndarray, sep: str) -> list[str]:
+    """Each row of the nonnegative int64 matrix ``a`` as "[a0{sep}a1...]", the
+    bytes json.dumps writes for it with sep ", ". Rows are laid out in one
+    byte buffer, one byte per entry: its digit, or a marker for an entry of
+    two or more digits, which is then written in by splitting at the markers."""
+    rows, cols = a.shape
+    if not cols:
+        return ["[]"] * rows
+    step = 1 + len(sep)
+    buf = np.empty((rows, (cols - 1) * step + 4), dtype=np.uint8)  # "[" ... "]\n"
+    buf[:, 0] = ord("[")
+    for k, byte in enumerate(sep.encode(), start=2):
+        buf[:, k:-2:step] = byte
+    buf[:, -2:] = np.frombuffer(b"]\n", dtype=np.uint8)
+    wide = a >= 10
+    buf[:, 1:-2:step] = np.where(wide, 1, a + ord("0"))
+    text = buf.tobytes().decode("ascii")
+    if wide.any():
+        parts = text.split("\x01")
+        text = "".join(chain.from_iterable(zip(parts, map(str, a[wide].tolist())))) + parts[-1]
+    return text.split("\n")[:-1]
+
+
+def _row_strings(blocks, sep: str):
+    """The rows of int64 ``blocks`` with one column count, in order, formatted
+    by ``_format_rows``; consecutive blocks are stacked and formatted about
+    ``_FORMAT_ENTRIES`` entries at a time."""
+    cols = blocks[0].shape[1] if blocks else 0
+    step = max(1, _FORMAT_ENTRIES // max(1, cols))  # rows per chunk
+    part, have = [], 0
+    for block in blocks:
+        for start in range(0, len(block), step):
+            part.append(block[start:start + step])
+            have += len(part[-1])
+            if have >= step:
+                yield from _format_rows(np.vstack(part), sep)
+                part, have = [], 0
+    if part:
+        yield from _format_rows(np.vstack(part), sep)
 
 
 # an input token: ASCII digits only, so no "1_0" and no non-ASCII digit
@@ -165,15 +213,31 @@ def cmd_degenerate(args) -> int:
     infinity = args.infinity if args.infinity is not None else 0
     aff = decone(arr, infinity)
     maps = degenerations(aff, args.prime)
+    names = ("deg1_matrix", "deg2_matrix")
+    sep = ", " if args.json else " "
+    # each kind of matrix stacked over the maps, and its rows formatted in order
+    rows = {name: _row_strings([getattr(d, name).data for d in maps], sep) for name in names}
+
+    def take(dmap, name) -> list[str]:
+        return list(islice(rows[name], len(getattr(dmap, name).data)))
+
+    out = sys.stdout
     if args.json:
+        # canonical_json of the payload with a hole for every matrix, each
+        # hole then filled in order: map by map, deg1 before deg2
+        hole = "\0"
         payload = {
             "p": args.prime,
             "infinity": infinity,
             "classes": [list(c) for c in aff.classes],
-            "maps": [{"kind": d.kind, "class": d.class_index, "deg1": d.deg1_matrix.tolist(),
-                      "deg2": d.deg2_matrix.tolist(), "verified": d.verified} for d in maps],
+            "maps": [{"kind": d.kind, "class": d.class_index, "deg1": hole, "deg2": hole,
+                      "verified": d.verified} for d in maps],
         }
-        print(canonical_json(payload))
+        pieces = canonical_json(payload).split(json.dumps(hole))
+        out.write(pieces[0])
+        for (dmap, name), piece in zip(((d, name) for d in maps for name in names), pieces[1:]):
+            out.write("[" + ", ".join(take(dmap, name)) + "]" + piece)
+        out.write("\n")
         return EXIT_OK
     print(f"infinity = {infinity}, parallel classes (generator positions): "
           + " ".join(str(list(c)) for c in aff.classes))
@@ -183,10 +247,9 @@ def cmd_degenerate(args) -> int:
         tag = "total" if dmap.kind == "total" else f"directional, class {dmap.class_index}"
         print(f"{tag}: target has {dmap.target.n} lines, "
               f"degree 2 rank {dmap.target.dim2}")
-        for name, mat in (("deg1", dmap.deg1_matrix), ("deg2", dmap.deg2_matrix)):
-            print(f" {name} matrix:")
-            for row in mat.tolist():
-                print("   [" + " ".join(str(x) for x in row) + "]")
+        for name in names:
+            print(f" {name[:4]} matrix:")
+            out.write("".join(f"   {row}\n" for row in take(dmap, name)))
         print(f" verified: {dmap.verified}")
     return EXIT_OK
 

@@ -7,9 +7,11 @@ transversal. Both are materialized as matrices on the degree 1 and degree 2
 coordinates. ``delta_tot`` and ``delta_dir`` build one map each, unverified;
 ``degenerations`` builds a deconing's family over one source algebra and
 verifies it in one ``verify_homomorphism`` call in the direct sum of its
-targets. Products are ``OSAlgebra.wedge_columns`` of a degree 1 matrix's
-columns, with point sums taken once per degree 1 block. A family that fails
-is a bug and raises, so every map it returns carries ``verified=True``.
+targets. A map's degree 2 matrix is ``OSAlgebra.wedge_columns`` of its
+degree 1 matrix's columns; the check takes the point sums of the family's
+stacked degree 1 matrices once, for every stage. Maps built from one source
+algebra share a target algebra per model. A family that fails is a bug and
+raises, so every map it returns carries ``verified=True``.
 """
 
 from __future__ import annotations
@@ -95,8 +97,14 @@ def _source(aff, p: int) -> OSAlgebra:
     return aff
 
 
-def _build(kind, class_index, source, model, m) -> DegenerationMap:
-    target, deg1 = OSAlgebra(model, source.p), FpMatrix._of(source.p, m)
+def _build(kind, class_index, source, fixture, size, m) -> DegenerationMap:
+    """The map onto the model ``fixture(size)`` with degree 1 matrix ``m``.
+    Its target algebra is built once per model and source algebra, in the
+    source's ``_models``, so the maps of a family share one per model size."""
+    key = (fixture, size)
+    if key not in source._models:
+        source._models[key] = OSAlgebra(fixture(size), source.p)
+    target, deg1 = source._models[key], FpMatrix._of(source.p, m)
     return DegenerationMap(kind, class_index, source, target, deg1,
                            induced_deg2(source, target, deg1))
 
@@ -113,7 +121,7 @@ def delta_tot(aff: AffineArrangement | OSAlgebra, p: int) -> DegenerationMap:
     mult, flat = aff.class_arrays
     m = np.zeros((s, aff.n), dtype=np.int64)
     m[np.repeat(np.arange(s), mult), flat] = 1  # each line onto its class's line
-    return _build("total", None, source, central_fixture(s), m)
+    return _build("total", None, source, central_fixture, s, m)
 
 
 def delta_dir(aff: AffineArrangement | OSAlgebra, class_index: int, p: int) -> DegenerationMap:
@@ -131,7 +139,7 @@ def delta_dir(aff: AffineArrangement | OSAlgebra, class_index: int, p: int) -> D
     m = np.zeros((r + 1, aff.n), dtype=np.int64)
     m[r, :] = 1  # default image: the transversal
     m[:, flat[start:start + r]] = np.eye(r + 1, r, dtype=np.int64)  # the class onto the parallels
-    return _build("directional", class_index, source, parallel_fixture(r), m)
+    return _build("directional", class_index, source, parallel_fixture, r, m)
 
 
 def _chunks(tuples):
@@ -179,8 +187,10 @@ def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     deg1 = FpMatrix._of(src.p, np.vstack([d.deg1_matrix.data for d in dmaps]))
     deg2 = FpMatrix._of(src.p, np.vstack([d.deg2_matrix.data for d in dmaps]))
 
+    factors = target._factors(deg1.data)  # point sums once, for every stage
+
     def image_wedges(i, j) -> np.ndarray:
-        return target.wedge_columns(deg1, i, j).data
+        return target._products(factors, i, j)
 
     for i, j in _chunks(relation_pairs(src.aff)):
         if image_wedges(i, j).any():

@@ -77,6 +77,9 @@ class OSAlgebra:
         self._anchor = flat[starts]
         # each point's symbols are contiguous; index of the first one
         self._sym_start = starts - np.arange(len(mult))
+        # algebras of the degeneration models of maps out of this one, by
+        # model (see degeneration._build); they live as long as it does
+        self._models: dict = {}
 
     # ---- element constructors -------------------------------------------
 
@@ -120,16 +123,21 @@ class OSAlgebra:
     def wedge_columns(self, f: FpMatrix, i, j) -> FpMatrix:
         """Column c of the dim2 x len(i) result is f[:, i[c]] ^ f[:, j[c]], for
         a block ``f`` of one-forms as columns. S_X is summed over f's columns
-        once; each product in S_X(x) y_j - S_X(y) x_j is below p**2 < 2**62."""
+        once, by ``_factors``; ``_products`` then gathers the columns."""
         self._check(f, FpMatrix)
-        sums, lines = self._factors(f.data)
+        return FpMatrix._of(self.p, self._products(self._factors(f.data), i, j))
+
+    def _products(self, factors, i, j) -> np.ndarray:
+        # columns i ^ j of a block given by its _factors: each product in
+        # S_X(x) y_j - S_X(y) x_j is below p**2 < 2**62
+        sums, lines = factors
         out = sums.take(i, axis=1)
         out *= lines.take(j, axis=1)
         rhs = sums.take(j, axis=1)
         rhs *= lines.take(i, axis=1)
         out -= rhs
         out %= self.p
-        return FpMatrix._of(self.p, out)
+        return out
 
     def wedge11(self, x, y):
         """Bilinear antisymmetric product of degree 1 elements.

@@ -8,8 +8,10 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from arrcohom import cli
 from arrcohom.aomoto import Beta1Result
 from arrcohom.catalog import BUILTINS, BadParameterError, build_named
 from arrcohom.cli import canonical_json, main
@@ -118,6 +120,12 @@ DEGENERATE_SHA256 = {
         "dd476cfe58730e4c5f725fafae3f5ec1d50373b1d999034dedb0a6c27ddfb0be",
     ("box", "--prime", "5", "--json"):
         "af4001dd4c1b17a4b0cc56f7c692c59faa39b40a1445bef21a9cdaf71b29d5f8",
+    # residues of ten digits
+    ("--builtin", "fig3", "--prime", "2147483647", "--json"):
+        "ff768bf52c1a932468e05ebacc944c098a141b5063cb958b4a0fca095f3dbdd5",
+    # a single class: "maps": []
+    ("--builtin", "pencil", "--m", "4", "--prime", "3", "--json"):
+        "18d0b7ae3efe17d86ad56e3bd621653e3f1ae88d00eab4738b7a1175fb114823",
 }
 
 
@@ -294,6 +302,25 @@ def test_degenerate_json_matches_maps_built_and_verified_alone(capsys, argv):
                  for d in alone],
     }
     assert out == canonical_json(expected) + "\n"
+
+
+@pytest.mark.parametrize("entries", [1, 10, cli._FORMAT_ENTRIES])
+@pytest.mark.parametrize("p", [2, 3, 11, 101, 2**31 - 1])
+def test_row_writer_matches_json_dumps(monkeypatch, entries, p):
+    # rows of blocks that chunks stack together and cut apart, with entries
+    # of one digit, of two and more, and the largest residue
+    monkeypatch.setattr(cli, "_FORMAT_ENTRIES", entries)
+    rng = np.random.default_rng(p)
+    edge = np.array([0, 1, 9, 10, 99, 100, p - 1]) % p
+    blocks = [np.where(rng.random((rows, 7)) < 0.3, rng.choice(edge, size=(rows, 7)), 0)
+              for rows in (3, 0, 1, 12, 2)]
+    blocks[0][0] = edge
+    lists = [row for block in blocks for row in block.tolist()]
+    assert list(cli._row_strings(blocks, ", ")) == [json.dumps(row) for row in lists]
+    assert list(cli._row_strings(blocks, " ")) == [
+        "[" + " ".join(map(str, row)) + "]" for row in lists]
+    assert list(cli._row_strings([np.zeros((2, 0), dtype=np.int64)], ", ")) == ["[]", "[]"]
+    assert list(cli._row_strings([], ", ")) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -340,10 +340,17 @@ def test_family_shares_one_source_algebra(aff, p, monkeypatch):
     maps = degenerations(aff, p)
     assert len(maps) == 1 + aff.num_classes
     assert all(d.source is maps[0].source for d in maps)
-    # one source, one target per map, then the targets' direct sum that
-    # verification wedges the whole family in
-    assert len(built) == 2 + len(maps)
+    # one source, one target per distinct model (the central one and one
+    # almost-parallel one per class size), then the targets' direct sum
+    # that verification wedges the whole family in
+    sizes = {len(c) for c in aff.classes}
+    assert len(built) == 2 + 1 + len(sizes)
     assert built[-1].n == sum(d.target.n for d in maps)
+    # directional maps of classes of one size share their model's algebra
+    by_size = {}
+    for d in maps[1:]:
+        assert by_size.setdefault(len(aff.classes[d.class_index]), d.target) is d.target
+    assert len(by_size) < len(maps) - 1  # some size repeats, so sharing is tested
 
 
 def test_constructors_share_a_given_source_algebra():
@@ -393,23 +400,33 @@ def test_direct_sum_products_are_stacked_summand_products(p):
 
 def test_family_verification_wedges_once_per_stage(monkeypatch):
     # the images of the whole family are wedged together, so a family costs
-    # as many product kernel calls as its first map alone
+    # as many product kernel calls as its first map alone, and the point
+    # sums of its stacked degree 1 images (one column per source line) are
+    # taken once for every stage
     arr = next(a for a in box_sources(60, seed=1) if decone(a, 0).num_classes >= 8)
     family = degenerations(decone(arr, 0), 3)
-    calls = []
-    honest = OSAlgebra.wedge_columns
+    factored, gathered = [], []
+    honest_factors, honest_products = OSAlgebra._factors, OSAlgebra._products
 
-    def counting(self, f, i, j):
-        calls.append(self)
-        return honest(self, f, i, j)
+    def factors(self, x):
+        factored.append(x.shape[1])
+        return honest_factors(self, x)
 
-    monkeypatch.setattr(OSAlgebra, "wedge_columns", counting)
+    def products(self, block, i, j):
+        gathered.append(self)
+        return honest_products(self, block, i, j)
+
+    monkeypatch.setattr(OSAlgebra, "_factors", factors)
+    monkeypatch.setattr(OSAlgebra, "_products", products)
     assert verify_homomorphism(family[0])
-    alone = len(calls)
-    calls.clear()
+    alone = (len(factored), len(gathered))
+    factored.clear()
+    gathered.clear()
     assert verify_homomorphism(*family)
     assert len(family) >= 9
-    assert len(calls) == alone
+    assert factored.count(family[0].source.n) == 1
+    assert (len(factored), len(gathered)) == alone
+    assert len(gathered) > 1
 
 
 def test_verify_rejects_maps_over_different_sources():

@@ -334,8 +334,36 @@ def test_rref_matches_full_matrix_elimination_on_d1(p):
 
 
 
-def _assert_rank_matches_rref(a, p):
-    assert FpMatrix(p, a).rank() == len(_rref_raw(a, p)[1])
+def _python_rank(a, p):
+    """Rank by row reduction over Python ints, sharing nothing with modp."""
+    rows = [[x % p for x in row] for row in a.tolist()]
+    rank = 0
+    for c in range(a.shape[1]):
+        top = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if top is None:
+            continue
+        rows[rank], rows[top] = rows[top], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _assert_rank_checks_out(a, p):
+    # checks that run no elimination on ``a`` but the ones under test: the
+    # rank of the transpose, and rank-nullity with a kernel basis of
+    # independent vectors that ``a`` kills in object arithmetic
+    rank = FpMatrix(p, a).rank()
+    assert FpMatrix(p, a.T).rank() == rank
+    basis = FpMatrix(p, a).kernel_basis()
+    kernel = np.array([v.data for v in basis], dtype=np.int64).reshape(len(basis), a.shape[1])
+    assert rank + len(kernel) == a.shape[1]
+    assert FpMatrix(p, kernel).rank() == len(kernel)
+    assert not ((a.astype(object) @ kernel.T.astype(object)) % p).any()
+    return rank
 
 
 def _object_product(a, b, p):
@@ -346,7 +374,7 @@ def _object_product(a, b, p):
 @given(case=reduced_matrices())
 def test_rank_matches_rref_pivots(case):
     p, a = case
-    _assert_rank_matches_rref(a, p)
+    assert _assert_rank_checks_out(a, p) == _python_rank(a, p)
 
 
 @pytest.mark.parametrize("p", DIFF_PRIMES)
@@ -380,7 +408,7 @@ def test_tall_rank_matches_rref_pivots_on_fixed_cases(p):
         np.full((30, cols), p - 1, dtype=np.int64),
     ]
     for a in cases:
-        _assert_rank_matches_rref(a, p)
+        assert _assert_rank_checks_out(a, p) == _python_rank(a, p)
     assert FpMatrix(p, cases[3]).rank() == FpMatrix(p, cases[6]).rank() == cols
 
 
@@ -392,7 +420,7 @@ def test_tall_rank_matches_rref_pivots_on_d1(p):
     sources += [(arr, 0) for arr in box_sources(50, seed=2024)]
     for arr, h in sources:
         alg = OSAlgebra(decone(arr, h), p)
-        _assert_rank_matches_rref(alg.wedge_matrix(alg.ones()).data, p)
+        _assert_rank_checks_out(alg.wedge_matrix(alg.ones()).data, p)
 
 
 @pytest.mark.parametrize("p", [3, 2**31 - 1])
@@ -400,7 +428,7 @@ def test_tall_rank_matches_rref_pivots_on_generic_120(p):
     alg = OSAlgebra(decone(catalog.generic(120), 0), p)
     d1 = alg.wedge_matrix(alg.ones()).data
     assert d1.shape == (7021, 119)
-    _assert_rank_matches_rref(d1, p)
+    _assert_rank_checks_out(d1, p)
 
 
 @pytest.mark.parametrize("inner", [0, 1, 2, 199, 2**15 - 1, 2**16, 2**16 + 1])

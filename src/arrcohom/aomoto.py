@@ -7,9 +7,10 @@ entry to the incidence kernel, reads the kernel of d1 at the all-ones
 form off the incidences (Falk's resonance over F_p), one listed deconing
 of a projective lattice at a time, over the incidence arrays the lattice
 keeps. The dense definition ``beta1_full`` is its independent check. It
-ranks d1 without building it (``_rank_d1``): only its top rows, twice as
-many as its columns, are written, and products in the algebra give the
-rest, in O(n^2) memory per kernel vector of those rows."""
+ranks d1 without building it (``_rank_d1``, one route for both
+definitions): only its top rows, twice as many as its columns, are
+written, and products in the algebra give the rest, in O(n^2) memory
+per kernel vector of those rows."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AffineArrangement
-from .modp import FpMatrix, FpVector, _check_modulus, _kernel_raw, _matmul_mod, _rref_raw
+from .modp import FpMatrix, FpVector, _check_modulus, _kernel_raw, _rref_raw
 from .orlik_solomon import OSAlgebra
 
 __all__ = [
@@ -67,25 +68,22 @@ def _d1(alg: OSAlgebra, xi: FpVector, rows: int) -> FpMatrix:
     return d1
 
 
-def _rank_d1(alg: OSAlgebra, xi: FpVector, basis: FpMatrix | None = None) -> int:
-    """rank(d1 @ basis), basis the identity if None, with only the top
-    2 * cols rows of d1 built. A matrix with top rows B and the rest C has
-    rank rank(B) + rank(C @ K^T), K's rows a basis of ker B: v -> v @ K^T
-    kills exactly the annihilator of ker B, the row space of B. Here B is
-    the top of d1 @ basis, of rank cols - len(K), and C @ K^T the bottom of
-    xi wedge (basis @ K^T), one product per column, since d1 y = xi wedge
-    y; so C is never built, and memory stays O(2 * cols * n + dim2 * len(K))."""
-    p, cols = alg.p, alg.n if basis is None else basis.shape[1]
-    top = _d1(alg, xi, 2 * cols)
-    if basis is not None:
-        top = top @ basis
-    if alg.dim2 <= 2 * cols:
-        return top.rank()
-    kt = _kernel_raw(top.data, p).T  # K^T: one kernel vector per column
-    ys = kt if basis is None else _matmul_mod(basis.data, kt, p)
-    xy, j = FpMatrix._of(p, np.column_stack((xi.data, ys))), np.arange(1, kt.shape[1] + 1)
-    rest = alg.wedge_columns(xy, 0 * j, j).data[2 * cols:]  # xi is column 0, y_j column j
-    return cols - len(j) + FpMatrix._of(p, rest).rank()
+def _rank_d1(alg: OSAlgebra, xi: FpVector, bordered: bool = False) -> int:
+    """rank(d1), under one all-ones row if ``bordered``, with only the top
+    2n rows of d1 built. A matrix with top rows B and the rest C has rank
+    rank(B) + rank(C @ K^T), K's rows a basis of ker B: v -> v @ K^T kills
+    exactly the annihilator of ker B, the row space of B. Here C @ K^T is
+    the bottom of xi wedge K^T, one product per column, since d1 y = xi
+    wedge y, and is empty when dim2 <= 2n; C is never built, and memory
+    stays O(n^2 + dim2 * len(K))."""
+    p, n = alg.p, alg.n
+    top = _d1(alg, xi, 2 * n).data
+    if bordered:
+        top = np.vstack((np.ones((1, n), np.int64), top))
+    kt = _kernel_raw(top, p).T  # K^T: one kernel vector per column
+    xy, j = FpMatrix._of(p, np.column_stack((xi.data, kt))), np.arange(1, kt.shape[1] + 1)
+    rest = alg.wedge_columns(xy, 0 * j, j).data[2 * n:]  # xi is column 0, y_j column j
+    return n - len(j) + FpMatrix._of(p, rest).rank()
 
 
 def _full_result(n: int, dim2: int, rank_d0: int, rank_d1: int) -> Beta1Result:
@@ -160,32 +158,23 @@ def beta1_sweep(lat, lines, primes) -> dict[int, list[Beta1Result]]:
 
 def sum_zero_basis(n: int, p: int) -> FpMatrix:
     """Columns e_i - e_{i+1}, a basis of the coordinate-sum-zero subspace."""
-    b = np.zeros((n, n - 1), dtype=np.int64)
-    for i in range(n - 1):
-        b[i, i] = 1
-        b[i + 1, i] = p - 1
-    return FpMatrix(p, b)
+    return FpMatrix(p, np.eye(n, n - 1, dtype=np.int64) - np.eye(n, n - 1, -1, dtype=np.int64))
 
 
 def beta1_restricted(alg: OSAlgebra, xi: FpVector) -> Beta1Result:
     """Kernel of the wedge map restricted to the sum-zero subspace.
 
     Valid only when the coefficient sum of xi is invertible mod p, in
-    which case it agrees with the full computation.
+    which case it agrees with the full computation. Under an all-ones row,
+    d1 keeps the kernel ker d1 on the sum-zero forms: its rank less one is
+    the restricted rank.
     """
     xi = alg.deg1(xi)
     if xi.sum() == 0:
-        raise NotInvertibleError(
-            f"coefficient sum is 0 mod {alg.p}; use the full computation"
-        )
-    rank_restricted = _rank_d1(alg, xi, sum_zero_basis(alg.n, alg.p))
-    value = (alg.n - 1) - rank_restricted
-    certificate = {
-        "dim_sub": alg.n - 1,
-        "rank_restricted": rank_restricted,
-        "coeff_sum": xi.sum(),
-    }
-    return Beta1Result(value, "restricted", certificate)
+        raise NotInvertibleError(f"coefficient sum is 0 mod {alg.p}; use the full computation")
+    rank_restricted = _rank_d1(alg, xi, bordered=True) - 1
+    certificate = {"dim_sub": alg.n - 1, "rank_restricted": rank_restricted, "coeff_sum": xi.sum()}
+    return Beta1Result(alg.n - 1 - rank_restricted, "restricted", certificate)
 
 
 def central_fixture(s: int) -> AffineArrangement:

@@ -23,6 +23,7 @@ prime, 141 stdout closed early by its reader (128 + SIGPIPE, quietly).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -146,26 +147,40 @@ def resolve_arrangement(args) -> ProjArrangement:
     raise ParseError("no input: give a file or --builtin NAME")
 
 
+@contextlib.contextmanager
+def _long_ints():
+    """No limit on int-to-str digits in the block, the old one restored
+    after (Pythons before 3.10.7 have none): a point's coordinates are 2 x 2
+    minors of the coefficients, up to 2d + 1 digits for d-digit tokens."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def cmd_lattice(args) -> int:
     arr = resolve_arrangement(args)
-    lat = arr.lattice
-    table = mu_table(arr)
-    if args.json:
-        payload = {
-            "degree": len(arr.lines),
-            "essential": is_essential(arr),
-            "points": [
-                {"point": list(pt), "lines": list(inc)}
-                for pt, inc in zip(lat.coords, lat.incidences)
-            ],
-            "histogram": {str(k): v for k, v in sorted(lat.histogram().items())},
-            "mu_table": {"ks": list(table.ks), "rows": [list(r) for r in table.rows]},
-        }
-        print(canonical_json(payload))
-        return EXIT_OK
-    print(f"{len(arr.lines)} lines, {len(lat)} intersection points")
-    for (x, y, z), inc in zip(lat.coords, lat.incidences):
-        print(f"  ({x}:{y}:{z})  multiplicity {len(inc)}  lines {list(inc)}")
+    lat, table = arr.lattice, mu_table(arr)
+    # each point's coordinates and lines, read off the lattice's arrays
+    flat, ends = lat.flat.tolist(), np.cumsum(lat.mult).tolist()
+    points = zip(lat.points.tolist(), (flat[a:b] for a, b in zip([0] + ends, ends)))
+    with _long_ints():
+        if args.json:
+            print(canonical_json({
+                "degree": len(arr.lines),
+                "essential": is_essential(arr),
+                "points": [{"point": pt, "lines": inc} for pt, inc in points],
+                "histogram": {str(k): v for k, v in sorted(lat.histogram().items())},
+                "mu_table": {"ks": list(table.ks), "rows": [list(r) for r in table.rows]},
+            }))
+            return EXIT_OK
+        print(f"{len(arr.lines)} lines, {len(lat)} intersection points")
+        for (x, y, z), inc in points:
+            print(f"  ({x}:{y}:{z})  multiplicity {len(inc)}  lines {inc}")
     print(f"multiplicity histogram: {dict(sorted(lat.histogram().items()))}")
     print(f"essential: {is_essential(arr)}")
     print(f"divisible-point counts, k in {list(table.ks)}:")

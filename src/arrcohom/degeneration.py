@@ -174,7 +174,7 @@ def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     the targets, whose products are the maps' products stacked in order.
     These stages decide: symbols and triples (a, u, v) give deg2(e_u^e_v) =
     f(u)^f(v) for lines that meet, pairs for parallel lines, so by
-    bilinearity deg2(x^y) = f(x)^f(y), which `_PAIRS` seeded pairs recheck.
+    bilinearity deg2(x^y) = f(x)^f(y), which `_PAIRS` seeded one-form pairs recheck.
     """
     if not dmaps:
         raise ValueError("verify_homomorphism needs at least one map")
@@ -203,8 +203,9 @@ def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
         if not np.array_equal(deg2.data[:, cut], image_wedges(anchors[cut], lines[cut])):
             return False
     draws = np.array(random.Random(0).choices(range(src.p), k=2 * src.n * _PAIRS), dtype=np.int64)
-    x, y = (FpMatrix._of(src.p, d) for d in draws.reshape(2, src.n, _PAIRS))
-    return (deg2 @ src.wedge11(x, y)) == target.wedge11(deg1 @ x, deg1 @ y)
+    forms = [FpVector._of(src.p, d) for d in draws.reshape(2 * _PAIRS, src.n)]  # x, y, x, ...
+    return all(deg2 @ src.wedge11(x, y) == target.wedge11(deg1 @ x, deg1 @ y)
+               for x, y in zip(forms[::2], forms[1::2]))
 
 
 def _describe(dmap: DegenerationMap) -> str:

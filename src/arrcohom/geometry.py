@@ -172,8 +172,9 @@ class IntersectionLattice:
         return tuple(zip(*self.points.T.tolist()))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntersectionLattice) and (
-            self.incidences, self.coords) == (other.incidences, other.coords)
+        return isinstance(other, IntersectionLattice) and all(map(
+            np.array_equal, (self.mult, self.flat, self.points),
+            (other.mult, other.flat, other.points)))
 
     def __len__(self) -> int:
         return len(self.mult)
@@ -258,8 +259,9 @@ class AffineArrangement:
         return _unpack(*self.point_arrays)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AffineArrangement) and (
-            self.classes, self.finite_points) == (other.classes, other.finite_points)
+        return other is self or isinstance(other, AffineArrangement) and all(map(
+            np.array_equal, self.class_arrays + self.point_arrays,
+            other.class_arrays + other.point_arrays))
 
     @property
     def n(self) -> int:

@@ -139,22 +139,13 @@ class OSAlgebra:
         out %= self.p
         return out
 
-    def wedge11(self, x, y):
-        """Bilinear antisymmetric product of degree 1 elements.
-
-        Two ``FpVector`` one-forms give their product as an ``FpVector`` of
-        length dim2. Two ``FpMatrix`` operands of shape n x k, whose columns
-        are one-forms, give the dim2 x k ``FpMatrix`` whose column c is the
-        product of the two columns c, through ``wedge_columns``; their moduli,
-        row counts and column counts must match the algebra and each other."""
-        kind = FpMatrix if isinstance(x, FpMatrix) and isinstance(y, FpMatrix) else FpVector
-        self._check(x, kind)
-        self._check(y, kind)
-        if x.data.shape != y.data.shape:
-            raise DimensionMismatchError(f"operand shapes {x.data.shape} vs {y.data.shape}")
-        both = FpMatrix._of(self.p, np.column_stack((x.data, y.data)))  # x's columns, then y's
-        out = self.wedge_columns(both, *np.arange(both.shape[1]).reshape(2, -1))
-        return out if kind is FpMatrix else FpVector._of(self.p, out.data[:, 0])
+    def wedge11(self, x: FpVector, y: FpVector) -> FpVector:
+        """Bilinear antisymmetric product of two ``FpVector`` one-forms, of
+        length dim2; a block of products is one ``wedge_columns`` call."""
+        self._check(x)
+        self._check(y)
+        both = FpMatrix._of(self.p, np.column_stack((x.data, y.data)))
+        return FpVector._of(self.p, self.wedge_columns(both, [0], [1]).data[:, 0])
 
     def wedge_matrix(self, xi: FpVector, rows: int | None = None) -> FpMatrix:
         """Matrix of (xi wedge -) from degree 1 to degree 2; column j is the

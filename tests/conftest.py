@@ -1,10 +1,12 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from arrcohom import catalog
 from arrcohom.geometry import ProjArrangement, decone, parse_line
+from arrcohom.modp import FpMatrix
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +38,14 @@ def box_sources(count, seed):
         if aff.num_classes >= 2 and all(len(inc) <= 5 for inc in aff.finite_points):
             out.append(arr)
     return out
+
+
+def block_wedge(alg, x, y):
+    """Column c is x[:, c] ^ y[:, c] in ``alg``, for two ``FpMatrix`` blocks
+    of one-forms of one shape, as one ``wedge_columns`` call."""
+    k = x.shape[1]
+    both = FpMatrix(alg.p, np.column_stack((x.data, y.data)))  # x's columns, then y's
+    return alg.wedge_columns(both, np.arange(k), np.arange(k, 2 * k))
 
 
 def box_arrangements(count, seed):

@@ -16,7 +16,7 @@ from arrcohom.aomoto import (
     parallel_fixture,
     sum_zero_basis,
 )
-from arrcohom.geometry import ProjArrangement, decone
+from arrcohom.geometry import AffineArrangement, ProjArrangement, decone
 from arrcohom.modp import FpMatrix, FpVector, NotPrimeError
 from arrcohom.orlik_solomon import OSAlgebra, QuotientOSOracle
 from conftest import box_sources
@@ -262,17 +262,20 @@ def test_incidence_kernel_matches_definition_and_oracle(every_deconing, p):
 
 
 def _check_product_rank(alg, xi):
-    """The product-route rank of d1 and of d1 restricted to the sum-zero
-    subspace against the dense ranks of the whole d1, and beta1 against the
-    quotient oracle and, where the coefficient sum is invertible, against
-    the restricted shortcut; True if d1 is tall enough for the product."""
+    """The product-route rank of d1, and that of d1 under an all-ones row
+    less one, against the dense ranks of the whole d1 and of d1 restricted
+    to the sum-zero subspace, and beta1 against the quotient oracle and,
+    where the coefficient sum is invertible, against the restricted
+    shortcut; True if d1 is tall, so that the product rows are not empty."""
     d1, basis = alg.wedge_matrix(xi), sum_zero_basis(alg.n, alg.p)
+    restricted = (d1 @ basis).rank()
     assert _rank_d1(alg, xi) == d1.rank()
-    assert _rank_d1(alg, xi, basis) == (d1 @ basis).rank()
+    assert _rank_d1(alg, xi, bordered=True) - 1 == restricted
     full = beta1_full(alg, xi)
     assert full.value == QuotientOSOracle(alg.aff, alg.p).beta1(xi.data)
     if xi.sum():
-        assert beta1_restricted(alg, xi).value == full.value
+        res = beta1_restricted(alg, xi)
+        assert (res.value, res.certificate["rank_restricted"]) == (full.value, restricted)
     return alg.dim2 > 2 * alg.n
 
 
@@ -286,7 +289,7 @@ def test_product_rank_matches_dense_rank_and_oracle(members, p):
         alg = OSAlgebra(decone(arr, h), p)
         for xi in (alg.ones(), alg.deg1(rng.choices(range(p), k=alg.n))):
             tall += _check_product_rank(alg, xi)
-    assert 0 < tall < 2 * len(deconings)  # both routes ran
+    assert 0 < tall < 2 * len(deconings)  # product rows empty on some, not all
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
@@ -295,7 +298,7 @@ def test_product_rank_edge_cases(braid, p):
     alg = OSAlgebra(decone(catalog.generic(9), 0), p)
     assert alg.dim2 > 2 * alg.n
     assert _check_product_rank(alg, alg.deg1([0] * alg.n))
-    # dim2 <= 2n: no product step
+    # dim2 <= 2n: the product rows are empty
     alg = OSAlgebra(decone(braid, 2), p)
     assert not _check_product_rank(alg, alg.ones())
     # a near-pencil is never tall (dim2 = m - 2 at every deconing), so a
@@ -315,6 +318,22 @@ def test_product_rank_edge_cases(braid, p):
     assert alg.aff.finite_points[:5] == tuple((0, j) for j in range(1, 6))
     assert not head[:5].any() and head.any()
     assert _check_product_rank(alg, xi)
+    # zero on its first half, with a sum invertible at every p: K is large,
+    # and beta1_restricted ranks it under the all-ones row
+    xi = alg.deg1([0] * 6 + [1, 1, 1, 1, 3])
+    assert len(alg.wedge_matrix(xi, 2 * alg.n).kernel_basis()) >= 6
+    assert xi.sum() and _check_product_rank(alg, xi)
+    # dim2 = 0: one line (no sum-zero form), two parallels and a deconed
+    # pencil; at p = 2 the all-ones sum of the last two is 0
+    for aff in (AffineArrangement(([1], [0]), ([], [])),
+                AffineArrangement(([2], [0, 1]), ([], [])), decone(catalog.pencil(5), 0)):
+        alg = OSAlgebra(aff, p)
+        assert alg.dim2 == 0 and not _check_product_rank(alg, alg.ones())
+        if alg.n > 1 and p == 2:
+            with pytest.raises(NotInvertibleError):
+                beta1_restricted(alg, alg.ones())
+        else:
+            assert beta1_restricted(alg, alg.ones()).certificate["dim_sub"] == alg.n - 1
 
 
 def test_beta1_memory_stays_below_a_quarter_of_d1():

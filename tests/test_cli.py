@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from functools import cached_property
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcohom import cli
 from arrcohom.aomoto import Beta1Result
@@ -454,6 +459,105 @@ def test_leading_byte_order_mark_is_skipped(capsys, tmp_path):
     # only a leading mark: one inside the file is a bad token
     marked.write_bytes(body.encode() + b"\xef\xbb\xbf1 2 3\n")
     assert run(capsys, "lattice", str(marked))[0] == 2
+
+
+def _digits(count, seed):
+    # a decimal string of ``count`` digits with no leading zero, built without
+    # int-to-str conversion, which the interpreter limits to 4,300 digits
+    rng = random.Random(seed)
+    return rng.choice("123456789") + "".join(rng.choices("0123456789", k=count - 1))
+
+
+def test_lattice_prints_coordinates_past_the_int_digit_limit(capsys, tmp_path):
+    # every token of up to 4,300 digits reads, and a point's coordinates are
+    # 2 x 2 minors of them, so up to 8,001 digits long here: both layouts
+    # print them, each the canonical meet of the point's first two lines,
+    # and the interpreter's digit limit is the same after as before
+    path = tmp_path / "long.arr"
+    path.write_text("".join(" ".join(f"{'-' * (k % 2)}{_digits(4000, 3 * r + k)}"
+                                     for k in range(3)) + "\n" for r in range(6)))
+    limit = sys.get_int_max_str_digits()
+    code, text, err = run(capsys, "lattice", str(path))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "lattice", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    arr = cli.read_arrangement_file(str(path))
+    with cli._long_ints():
+        points = json.loads(out)["points"]
+        shown = text.splitlines()[1:1 + len(points)]
+        assert len(points) == 15 and max(len(str(abs(t))) for item in points
+                                         for t in item["point"]) > 7900
+        for item, row in zip(points, shown):
+            pt = intersect(*(arr.lines[i] for i in item["lines"][:2]))
+            assert item["point"] == list(pt)
+            assert row.startswith("  ({}:{}:{})  ".format(*pt))
+
+
+def test_exit_token_past_the_int_digit_limit(capsys, tmp_path):
+    # a 5,000-digit token is past the interpreter's limit: unparseable, exit 2
+    row = f"{_digits(5000, 1)} 0 1"
+    path = tmp_path / "long.arr"
+    path.write_text(f"{row}\n0 1 0\n0 0 1\n1 1 1\n")
+    for command in (["lattice"], ["report"], ["beta1", "--prime", "3"]):
+        assert run(capsys, *command, str(path)) == (
+            2, "", f"error: {path}:1: expected three integers, got {row!r}\n")
+
+
+# the token soup of the fuzz test: integers of 1 to 5,000 digits, on both
+# sides of 2,150 (coordinates past the digit limit) and of 4,300 (tokens
+# past it), and tokens that are no ASCII integer, NUL and a comment mark
+_LENGTHS = st.one_of(st.integers(1, 2), st.sampled_from((2149, 2150, 2151, 4299, 4300, 4301)),
+                     st.integers(1, 5000))
+_SMALL = st.integers(-3, 3).map(str)
+_INTEGERS = st.one_of(_SMALL, st.builds(lambda sign, count, seed: sign + _digits(count, seed),
+                                        st.sampled_from(("", "-", "+")), _LENGTHS,
+                                        st.integers(0, 99)))
+_TOKENS = st.one_of(_INTEGERS, st.sampled_from(("1_0", "0x1", "1.0", "+-1", "\0", "\u0661", "x")))
+# half the files hold rows of integers, comments and blank lines only, most
+# of them small integers, so that a good share of the files are arrangements
+_CLEAN = st.one_of(st.lists(_SMALL, min_size=3, max_size=3).map(" ".join),
+                   st.lists(_INTEGERS, min_size=3, max_size=3).map(" ".join),
+                   st.sampled_from(("", "   ", "# a comment")))
+_ROW = st.one_of(_CLEAN, st.lists(_TOKENS, max_size=5).map(" ".join), st.just("\0"))
+_FILES = st.one_of(*(st.lists(st.tuples(rows, st.sampled_from(("", "  # note"))).map("".join),
+                              max_size=8) for rows in (_CLEAN, _ROW)))
+_PRIMES = st.sampled_from(("2", "3", "5", "4", "9"))
+_INFINITY = st.one_of(st.just([]), st.integers(0, 8).map(lambda h: ["--infinity", str(h)]))
+_COMMANDS = st.one_of(
+    st.sampled_from((["lattice"], ["report"])),
+    st.tuples(st.sampled_from(("beta1", "degenerate")), _PRIMES, _INFINITY).map(
+        lambda t: [t[0], "--prime", t[1]] + t[2]),
+    _PRIMES.map(lambda p: ["beta1", "--prime", p, "--all-deconings"]))
+
+
+def test_cli_exits_cleanly_on_generated_files(tmp_path_factory):
+    # main in-process on generated files: 0, 2, 3 or 4, never 1 and never an
+    # exception; a nonzero exit writes no stdout and one stderr line
+    path = tmp_path_factory.mktemp("fuzz") / "input.arr"
+    codes = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(rows=_FILES, end=st.sampled_from(("\n", "\r\n")),
+           command=_COMMANDS, as_json=st.booleans())
+    def check(rows, end, command, as_json):
+        path.write_bytes("".join(row + end for row in rows).encode())
+        argv = command + [str(path)] + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        codes.add(code)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if code:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+            assert err.getvalue().startswith(("error:", "invalid arrangement:")), argv
+        elif as_json:
+            with cli._long_ints():
+                json.loads(out.getvalue())
+
+    check()
+    assert {0, 2, 3} <= codes  # arrangements, unparseable files and invalid ones
 
 
 @pytest.mark.parametrize("body, lineno", [(b"1 0 0\f0 1 0\n0 0 1\n1 1 1\n", 1),

@@ -24,7 +24,7 @@ from arrcohom.geometry import AffineArrangement, decone
 from arrcohom.modp import FpMatrix, FpVector, ModulusMismatchError
 from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
-from conftest import UNIMODULAR, box_sources, transformed
+from conftest import UNIMODULAR, block_wedge, box_sources, transformed
 
 
 def fig3_affine():
@@ -287,7 +287,7 @@ def _is_multiplicative_on_unit_pairs(dmap):
     units = np.eye(src.n, dtype=np.int64)
     u, v = np.triu_indices(src.n, k=1)
     x, y = FpMatrix(src.p, units[:, u]), FpMatrix(src.p, units[:, v])
-    return dmap.deg2_matrix @ src.wedge11(x, y) == dmap.target.wedge11(f @ x, f @ y)
+    return dmap.deg2_matrix @ block_wedge(src, x, y) == block_wedge(dmap.target, f @ x, f @ y)
 
 
 def _corruptions(dmap, rng):
@@ -392,9 +392,9 @@ def test_direct_sum_products_are_stacked_summand_products(p):
     assert total.n == sum(a.n for a in algs)
     assert total.dim2 == sum(a.dim2 for a in algs)
     xs, ys = ([FpMatrix(p, rng.integers(0, p, size=(a.n, 7))) for a in algs] for _ in range(2))
-    stacked = total.wedge11(FpMatrix(p, np.vstack([x.data for x in xs])),
-                            FpMatrix(p, np.vstack([y.data for y in ys])))
-    assert stacked == FpMatrix(p, np.vstack([a.wedge11(x, y).data
+    stacked = block_wedge(total, FpMatrix(p, np.vstack([x.data for x in xs])),
+                          FpMatrix(p, np.vstack([y.data for y in ys])))
+    assert stacked == FpMatrix(p, np.vstack([block_wedge(a, x, y).data
                                              for a, x, y in zip(algs, xs, ys)]))
 
 

@@ -16,7 +16,7 @@ from arrcohom.modp import (
     ModulusMismatchError,
     _rref_raw,
 )
-from conftest import box_arrangements, box_sources
+from conftest import block_wedge, box_arrangements, box_sources
 from arrcohom.orlik_solomon import (
     OSAlgebra,
     QuotientOSOracle,
@@ -266,7 +266,7 @@ def test_block_wedge_matches_columns_and_oracle(data):
     values = st.sampled_from((0, p - 1)) if data.draw(st.booleans()) else st.integers(0, p - 1)
     entries = st.lists(values, min_size=aff.n * k, max_size=aff.n * k)
     x, y = (np.array(data.draw(entries), dtype=np.int64).reshape(aff.n, k) for _ in "xy")
-    block = alg.wedge11(FpMatrix(p, x), FpMatrix(p, y))
+    block = block_wedge(alg, FpMatrix(p, x), FpMatrix(p, y))
     assert block.shape == (alg.dim2, k)
     orc = QuotientOSOracle(aff, p)
     table = FpMatrix(p, np.stack(
@@ -280,16 +280,21 @@ def test_block_wedge_matches_columns_and_oracle(data):
 
 
 def test_block_wedge_rejects_mismatched_operands():
+    # a block of one-forms must match the algebra's modulus and n, and
+    # wedge11 multiplies two one-forms only: a block goes to wedge_columns
     alg = OSAlgebra(braid_affine(), 3)
     good = FpMatrix(3, np.ones((alg.n, 4), dtype=np.int64))
     with pytest.raises(ModulusMismatchError):
-        alg.wedge11(good, FpMatrix(5, np.ones((alg.n, 4), dtype=np.int64)))
+        alg.wedge_columns(FpMatrix(5, np.ones((alg.n, 4), dtype=np.int64)), [0], [1])
     with pytest.raises(DimensionMismatchError):
-        alg.wedge11(FpMatrix(3, np.ones((alg.n + 1, 4), dtype=np.int64)), good)
+        alg.wedge_columns(FpMatrix(3, np.ones((alg.n + 1, 4), dtype=np.int64)), [0], [1])
+    with pytest.raises(ModulusMismatchError):
+        alg.wedge11(alg.ones(), FpVector(5, [1] * alg.n))
     with pytest.raises(DimensionMismatchError):
-        alg.wedge11(good, FpMatrix(3, np.ones((alg.n, 3), dtype=np.int64)))
-    with pytest.raises(TypeError):
-        alg.wedge11(good, alg.ones())
+        alg.wedge11(alg.ones(), FpVector(3, [1] * (alg.n + 1)))
+    for x, y in ((good, good), (good, alg.ones()), (alg.ones(), good)):
+        with pytest.raises(TypeError):
+            alg.wedge11(x, y)
 
 
 def test_symbol_factors_wedge_to_their_symbols(members):
@@ -315,8 +320,8 @@ def test_symbol_factors_wedge_to_their_symbols(members):
 
 @pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
 def test_wedge_matrix_closed_form_is_the_product(members, p):
-    # the closed form against the product definition: wedge11 of xi repeated
-    # n times with the identity, whose column j is xi ^ e_j
+    # the closed form against the product definition: the block product of
+    # xi repeated n times with the identity, whose column j is xi ^ e_j
     affs = ([decone(arr, h) for _, arr in members for h in range(len(arr.lines))]
             + [decone(arr, 0) for arr in box_sources(50, 2024)]
             + [central_fixture(s) for s in range(2, 7)]
@@ -332,4 +337,4 @@ def test_wedge_matrix_closed_form_is_the_product(members, p):
             repeated = FpMatrix(p, np.repeat(xi.data[:, None], alg.n, axis=1))
             d1 = alg.wedge_matrix(xi)
             assert d1.shape == (alg.dim2, alg.n)
-            assert d1 == alg.wedge11(repeated, block), (aff, xi)
+            assert d1 == block_wedge(alg, repeated, block), (aff, xi)

@@ -12,7 +12,7 @@ from arrcohom.degeneration import degenerations, induced_deg2
 from arrcohom.geometry import decone
 from arrcohom.modp import FpMatrix, FpVector
 from arrcohom.orlik_solomon import OSAlgebra
-from conftest import box_sources
+from conftest import block_wedge, box_sources
 
 PRIMES = (2, 3, 5, 2**31 - 1)
 
@@ -43,7 +43,7 @@ def test_results_are_read_only_int64_residues(sources, p):
         anchors, lines = alg.symbol_factors()
         results = [
             (alg.wedge11(u, v), FpVector),
-            (alg.wedge11(x, y), FpMatrix),
+            (block_wedge(alg, x, y), FpMatrix),
             (alg.wedge_columns(x, [0, 1, 2], [2, 0, 1]), FpMatrix),
             (alg.wedge_columns(FpMatrix(p, np.eye(n, dtype=np.int64)), anchors, lines),
              FpMatrix),
@@ -66,8 +66,8 @@ def test_results_are_read_only_int64_residues(sources, p):
 
 def test_induced_deg2_of_any_deg1_is_the_product_of_its_columns(sources):
     # on a deg1 that is no assignment, at the largest prime, the product
-    # kernel agrees with wedge11 on the gathered columns, built through the
-    # public constructor
+    # kernel agrees with the block product of the gathered columns, built
+    # through the public constructor
     p = 2**31 - 1
     rng = np.random.default_rng(11)
     for arr in sources:
@@ -75,8 +75,8 @@ def test_induced_deg2_of_any_deg1_is_the_product_of_its_columns(sources):
             source, target = dmap.source, dmap.target
             deg1 = FpMatrix(p, rng.integers(0, p, size=(target.n, source.n)))
             anchors, lines = source.symbol_factors()
-            old = target.wedge11(FpMatrix(p, deg1.data[:, anchors]),
-                                 FpMatrix(p, deg1.data[:, lines]))
+            old = block_wedge(target, FpMatrix(p, deg1.data[:, anchors]),
+                              FpMatrix(p, deg1.data[:, lines]))
             new = induced_deg2(source, target, deg1)
             assert_residues(new, p, FpMatrix)
             assert new == old

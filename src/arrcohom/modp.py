@@ -8,9 +8,11 @@ past the inner dimension where even the halves could overflow.
 
 One elimination routine, ``_rref_raw``, serves every rank, kernel and
 quotient. Its matrices are stored densely, but each pivot at row r and
-column c touches only the rows with a nonzero entry in column c and only
-the columns from c on, so a sparse matrix such as d1 costs in proportion
-to its fill-in, not to its full size.
+column c updates only the rows with a nonzero entry in column c, and in
+them only the columns where the normalized row r is nonzero. Past one
+scan of column c and of row r per pivot, a sparse matrix such as d1
+costs the arithmetic its nonzeros need (Gilbert and Peierls, SIAM J.
+Sci. Stat. Comput. 9, 1988), not its full size.
 
 The public constructors ``FpVector`` and ``FpMatrix`` are the trust boundary:
 they check the modulus, refuse non-integer entries and reduce every entry.
@@ -75,16 +77,16 @@ def _check_modulus(p) -> int:
 def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``a`` mod p, and its pivot columns, with
     the fixed pivot rule: scan columns left to right, take the topmost
-    nonzero entry. The entries are reduced mod p on entry; ``a`` itself is
-    left unchanged.
+    nonzero entry. The entries are reduced mod p on entry, into a new
+    C-ordered array whatever the layout of ``a``, which is left unchanged.
 
     A pivot at row r and column c is normalized on columns c onward (unless
     it is already 1), then cleared from every other row with a nonzero
-    entry in column c, above and below r, on columns c onward only: the
-    pivot row is zero left of c, and a row with a zero entry in column c
-    would subtract zero."""
-    a = a % p
+    entry in column c, above and below r, at the columns where row r is
+    nonzero only: elsewhere the update would subtract zero."""
+    a = np.remainder(a, p, order="C")
     rows, cols = a.shape
+    flat = a.reshape(-1)  # a view: the updates below write through it into a
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -103,10 +105,12 @@ def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if row[0] != 1:
             row *= pow(int(row[0]), -1, p)
             row %= p
-        blk = a[hit, c:]
-        blk -= blk[:, :1] * row
+        nz = row.nonzero()[0]  # nz[0] == 0: column c itself
+        at = (hit * cols + c)[:, None] + nz  # flat offsets of those rows at those columns
+        blk = flat[at]
+        blk -= blk[:, :1] * row[nz]
         blk %= p
-        a[hit, c:] = blk
+        flat[at] = blk
         pivots.append(c)
         r += 1
     return a, pivots
@@ -229,8 +233,8 @@ class FpMatrix(_FpArray):
 
     def rank(self) -> int:
         """Rank by one elimination, tall or not. On a fully built d1 this is
-        over ten times slower than ``aomoto._rank_d1`` at generic-120, which
-        ranks d1 without building it."""
+        about five times slower than ``aomoto._rank_d1`` at generic-120,
+        which ranks d1 without building it."""
         return len(_rref_raw(self.data, self.p)[1])
 
     def kernel_basis(self) -> list[FpVector]:

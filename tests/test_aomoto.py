@@ -261,6 +261,18 @@ def test_incidence_kernel_matches_definition_and_oracle(every_deconing, p):
     assert nonzero > 0
 
 
+@pytest.mark.parametrize("make", (catalog.generic, catalog.near_pencil))
+def test_incidence_kernel_matches_definition_at_400_lines(make):
+    # the dense check's top block is 798 x 399 for the generic arrangement
+    # and 398 x 399 for the near-pencil; the sparse pivot update eliminates
+    # each in a few hundredths of a second per prime
+    arr = make(400)
+    aff = decone(arr, 0)
+    for p, (res,) in beta1_sweep(arr.lattice, [0], (2, 3, 5, 7)).items():
+        alg = OSAlgebra(aff, p)
+        assert beta1_full(alg, alg.ones()) == res, p
+
+
 def _check_product_rank(alg, xi):
     """The product-route rank of d1, and that of d1 under an all-ones row
     less one, against the dense ranks of the whole d1 and of d1 restricted

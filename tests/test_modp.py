@@ -333,6 +333,22 @@ def test_rref_matches_full_matrix_elimination_on_d1(p):
         _assert_matches_full_matrix_rref(alg.wedge_matrix(alg.ones()).data, p)
 
 
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_rref_matches_full_matrix_elimination_on_strided_inputs(p):
+    # the pivot updates write through a flat view of the reduced matrix, so
+    # an input that is not C-contiguous must still be reduced into a
+    # C-ordered array; the inputs are writable, so a write into one shows
+    # in the helper's check that its input is left unchanged
+    rng = np.random.default_rng(p % 1000)
+    alg = OSAlgebra(decone(catalog.generic(12), 0), p)
+    sources = [rng.integers(0, p, size=(9, 14)), _sparse_rows(rng, 40, 16, [1, 3], p),
+               alg.wedge_matrix(alg.ones()).data.copy()]
+    for src in sources:
+        for a in (src.T, np.asfortranarray(src), src[:, ::2], src[::-1]):
+            assert not a.flags.c_contiguous
+            _assert_matches_full_matrix_rref(a, p)
+
+
 
 def _python_rank(a, p):
     """Rank by row reduction over Python ints, sharing nothing with modp."""

@@ -20,11 +20,12 @@ aff = decone(fig3(), 0)
 print(f"five affine lines, parallel classes {aff.classes}")
 
 # the whole family: the total map and one directional map per class,
-# verified together
+# verified together (degenerations raises on a family that fails), and
+# checked again here in one call
 family = degenerations(aff, p)
 print("verified family: " + ", ".join(
     "total" if d.kind == "total" else f"directional {d.class_index}" for d in family
-) + f" -> {all(d.verified for d in family)}")
+) + f" -> {verify_homomorphism(*family)}")
 
 # total degeneration: classes {0,1}, {2}, {3,4} map onto three concurrent lines
 tot = delta_tot(aff, p)

@@ -9,23 +9,24 @@ coordinates. ``delta_tot`` and ``delta_dir`` build one map each, unverified;
 verifies it in one ``verify_homomorphism`` call in the direct sum of its
 targets. A map's degree 2 matrix is ``OSAlgebra.wedge_columns`` of its
 degree 1 matrix's columns; the check takes the point sums of the family's
-stacked degree 1 matrices once, for every stage. Maps built from one source
-algebra share a target algebra per model. A family that fails is a bug and
-raises, so every map it returns carries ``verified=True``.
+stacked degree 1 matrices once, for every stage. Target algebras are
+shared per process by model, size and p. A family that fails is a bug and
+raises, so every map ``degenerations`` returns has passed the check.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from dataclasses import dataclass
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 
 from .aomoto import central_fixture, parallel_fixture
 from .geometry import AffineArrangement
 from .modp import FpMatrix, FpVector, ModulusMismatchError, _check_modulus
-from .orlik_solomon import OSAlgebra, relation_pairs, relation_triples
+from .orlik_solomon import OSAlgebra, relation_pairs
 
 __all__ = [
     "DegenerationMap",
@@ -70,7 +71,6 @@ class DegenerationMap:
     target: OSAlgebra
     deg1_matrix: FpMatrix  # target.n x source.n
     deg2_matrix: FpMatrix  # target.dim2 x source.dim2
-    verified: bool = False  # set by degenerations once its check has passed
 
     def map1(self, x: FpVector) -> FpVector:
         return self.deg1_matrix @ self.source.deg1(x)
@@ -97,22 +97,21 @@ def _source(aff, p: int) -> OSAlgebra:
     return aff
 
 
+@functools.cache  # one algebra per model, size and p, shared by every map onto it
+def _model(fixture, size: int, p: int) -> OSAlgebra:
+    return OSAlgebra(fixture(size), p)
+
+
 def _build(kind, class_index, source, fixture, size, m) -> DegenerationMap:
-    """The map onto the model ``fixture(size)`` with degree 1 matrix ``m``.
-    Its target algebra is built once per model and source algebra, in the
-    source's ``_models``, so the maps of a family share one per model size."""
-    key = (fixture, size)
-    if key not in source._models:
-        source._models[key] = OSAlgebra(fixture(size), source.p)
-    target, deg1 = source._models[key], FpMatrix._of(source.p, m)
+    """The map onto the model ``fixture(size)`` with degree 1 matrix ``m``."""
+    target, deg1 = _model(fixture, size, source.p), FpMatrix._of(source.p, m)
     return DegenerationMap(kind, class_index, source, target, deg1,
                            induced_deg2(source, target, deg1))
 
 
 def delta_tot(aff: AffineArrangement | OSAlgebra, p: int) -> DegenerationMap:
     """Collapse every parallel class onto one line of the central model.
-    ``aff`` may be given as its ``OSAlgebra`` over F_p, which the map then
-    shares as its source."""
+    ``aff`` may be its ``OSAlgebra`` over F_p, shared as the source."""
     source = _source(aff, p)
     aff = source.aff
     s = aff.num_classes
@@ -125,9 +124,8 @@ def delta_tot(aff: AffineArrangement | OSAlgebra, p: int) -> DegenerationMap:
 
 
 def delta_dir(aff: AffineArrangement | OSAlgebra, class_index: int, p: int) -> DegenerationMap:
-    """Keep one parallel class, collapse all other lines to the transversal
-    of the almost-parallel model. ``aff`` may be given as its ``OSAlgebra``
-    over F_p, which the map then shares as its source."""
+    """Keep one parallel class, collapse all other lines to the transversal of
+    the almost-parallel model. ``aff`` may be its ``OSAlgebra`` over F_p."""
     source = _source(aff, p)
     aff = source.aff
     if not 0 <= class_index < aff.num_classes:
@@ -167,14 +165,15 @@ def _direct_sum(algs) -> OSAlgebra:
 def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     """Check that every map kills every source relation and is multiplicative.
 
-    Relation generators (parallel pairs and concurrent triples) are checked
-    exhaustively, then each degree 2 matrix against the wedge of degree 1
-    images on every basis symbol (X, j), the product of X's anchor a and
-    line j. Each stage runs once for the whole family, in the direct sum of
-    the targets, whose products are the maps' products stacked in order.
-    These stages decide: symbols and triples (a, u, v) give deg2(e_u^e_v) =
-    f(u)^f(v) for lines that meet, pairs for parallel lines, so by
-    bilinearity deg2(x^y) = f(x)^f(y), which `_PAIRS` seeded one-form pairs recheck.
+    Stages: every parallel pair; the triples (a, j, k) through each point's
+    anchor a, which span all its triple relations as d(e_ijk) = d(e_ajk) -
+    d(e_aik) + d(e_aij); each degree 2 matrix against the wedge of degree 1
+    images on every basis symbol (X, j), the product of a and line j. Each
+    stage runs once for the whole family, in the direct sum of the targets,
+    whose products are the maps' stacked. These stages decide: symbols and
+    triples (a, u, v) give deg2(e_u^e_v) = f(u)^f(v) for lines that meet,
+    pairs for parallel lines, so by bilinearity deg2(x^y) = f(x)^f(y), which
+    `_PAIRS` seeded one-form pairs recheck.
     """
     if not dmaps:
         raise ValueError("verify_homomorphism needs at least one map")
@@ -195,7 +194,9 @@ def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     for i, j in _chunks(relation_pairs(src.aff)):
         if image_wedges(i, j).any():
             return False
-    for i, j, k in _chunks(relation_triples(src.aff)):
+    # C(m - 1, 2) triples per point, not C(m, 3): d(e_ijk) = d(e_ajk) - d(e_aik) + d(e_aij)
+    for i, j, k in _chunks((inc[0], j, k) for inc in src.aff.finite_points
+                           for j, k in combinations(inc[1:], 2)):
         if ((image_wedges(i, j) - image_wedges(i, k) + image_wedges(j, k)) % src.p).any():
             return False
     anchors, lines = src.symbol_factors()
@@ -213,8 +214,8 @@ def _describe(dmap: DegenerationMap) -> str:
 
 
 def degenerations(aff: AffineArrangement, p: int) -> list[DegenerationMap]:
-    """The total map and one directional map per parallel class, verified
-    together; none with a single class, which has no transversal."""
+    """The total map and one directional map per parallel class, verified together
+    (a family that fails raises); none with one class, which has no transversal."""
     p = _check_modulus(p)
     if aff.num_classes < 2:
         return []
@@ -225,7 +226,7 @@ def degenerations(aff: AffineArrangement, p: int) -> list[DegenerationMap]:
         raise RuntimeError(
             f"degeneration failed its well-definedness check ({failing}); this is a bug"
         )
-    return [replace(d, verified=True) for d in maps]
+    return maps
 
 
 def class_sums(dmap: DegenerationMap, eta: FpVector) -> FpVector:

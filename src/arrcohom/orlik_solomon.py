@@ -77,9 +77,6 @@ class OSAlgebra:
         self._anchor = flat[starts]
         # each point's symbols are contiguous; index of the first one
         self._sym_start = starts - np.arange(len(mult))
-        # algebras of the degeneration models of maps out of this one, by
-        # model (see degeneration._build); they live as long as it does
-        self._models: dict = {}
 
     # ---- element constructors -------------------------------------------
 

@@ -495,13 +495,16 @@ def test_lattice_prints_coordinates_past_the_int_digit_limit(capsys, tmp_path):
 
 
 def test_exit_token_past_the_int_digit_limit(capsys, tmp_path):
-    # a 5,000-digit token is past the interpreter's limit: unparseable, exit 2
+    # a 5,000-digit token is past the interpreter's limit: unparseable, exit 2,
+    # and the message quotes the row's first 40 characters and its length, in
+    # one short line rather than the whole row
     row = f"{_digits(5000, 1)} 0 1"
     path = tmp_path / "long.arr"
     path.write_text(f"{row}\n0 1 0\n0 0 1\n1 1 1\n")
+    expected = f"error: {path}:1: expected three integers, got {row[:40]!r}... (5004 characters)\n"
+    assert len(expected) < 200
     for command in (["lattice"], ["report"], ["beta1", "--prime", "3"]):
-        assert run(capsys, *command, str(path)) == (
-            2, "", f"error: {path}:1: expected three integers, got {row!r}\n")
+        assert run(capsys, *command, str(path)) == (2, "", expected)
 
 
 # the token soup of the fuzz test: integers of 1 to 5,000 digits, on both

@@ -21,7 +21,7 @@ from arrcohom.degeneration import (
     verify_homomorphism,
 )
 from arrcohom.geometry import AffineArrangement, decone
-from arrcohom.modp import FpMatrix, FpVector, ModulusMismatchError
+from arrcohom.modp import FpMatrix, FpVector, ModulusMismatchError, _rref_raw
 from arrcohom.orlik_solomon import OSAlgebra, relation_pairs, relation_triples
 
 from conftest import UNIMODULAR, block_wedge, box_sources, transformed
@@ -212,15 +212,10 @@ def test_construction_rejects_corrupted_degree2(monkeypatch):
         m[-1, -1] += 1
         return FpMatrix(target.p, m)
 
-    assert all(dmap.verified for dmap in degenerations(fig3_affine(), 3))
+    assert verify_homomorphism(*degenerations(fig3_affine(), 3))
     monkeypatch.setattr(degeneration, "induced_deg2", corrupted)
     with pytest.raises(RuntimeError, match="this is a bug"):
         degenerations(fig3_affine(), 3)
-
-
-def test_constructors_leave_maps_unverified():
-    assert not delta_tot(fig3_affine(), 3).verified
-    assert not delta_dir(fig3_affine(), 1, 3).verified
 
 
 def test_degenerations_single_class_has_no_maps():
@@ -316,10 +311,13 @@ def test_relation_and_symbol_stages_are_the_definition(chunk, members, monkeypat
     monkeypatch.setattr(degeneration, "_CHUNK", chunk)
     rng = random.Random(31)
     sources = [arr for _, arr in members[:5]] + box_sources(2, seed=5)
+    # a near-pencil deconed at its transversal has a point of multiplicity
+    # 8: 56 triples, 35 of them not through its anchor
+    affs = [decone(arr, 0) for arr in sources] + [decone(catalog.near_pencil(9), 8)]
     verdicts = []
-    for arr in sources:
+    for aff in affs:
         for p in (2, 3, 5):
-            for dmap in degenerations(decone(arr, 0), p):
+            for dmap in degenerations(aff, p):
                 for d in _corruptions(dmap, rng):
                     verdicts.append(_exact_verdict(d))
                     assert verdicts[-1] == _is_multiplicative_on_unit_pairs(d)
@@ -327,8 +325,53 @@ def test_relation_and_symbol_stages_are_the_definition(chunk, members, monkeypat
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def _boundaries(inc, triples):
+    # d(e_ijk) = e_jk - e_ik + e_ij, one row per triple, in the free module
+    # on the pairs of the point's lines
+    column = {pair: c for c, pair in enumerate(combinations(inc, 2))}
+    rows = np.zeros((len(triples), len(column)), dtype=np.int64)
+    for r, (i, j, k) in enumerate(triples):
+        rows[r, [column[j, k], column[i, k], column[i, j]]] = (1, -1, 1)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_anchored_triples_span_every_triple_relation(p, members):
+    # verify_homomorphism checks only the triples (a, j, k) through a point's
+    # anchor a: their boundaries are independent and span those of all its
+    # triples, since d(e_ijk) = d(e_ajk) - d(e_aik) + d(e_aij)
+    affs = [decone(arr, h) for _, arr in members for h in range(len(arr.lines))]
+    points = {inc for aff in affs + [decone(arr, 0) for arr in box_sources(20, seed=35)]
+              for inc in aff.finite_points if len(inc) >= 3}
+    assert max(map(len, points)) >= 5
+    for inc in points:
+        every = list(combinations(inc, 3))
+        anchored = [(inc[0], j, k) for j, k in combinations(inc[1:], 2)]
+        ranks = [len(_rref_raw(_boundaries(inc, t), p)[1])
+                 for t in (anchored, every, anchored + every)]
+        assert ranks == [len(anchored)] * 3, inc
+
+
+def test_families_share_targets_per_model_size_and_prime():
+    # a target algebra is shared by every map onto its model and size over
+    # one prime, across families of different sources, and by none over
+    # another prime; a map's kind and target size name its model and size
+    first, second = fig3_affine(), decone(catalog.braid_a3(), 2)
+    assert first != second
+    families = degenerations(first, 3), degenerations(second, 3)
+    models = [{(d.kind, d.target.n) for d in f} for f in families]
+    assert models[0] == models[1]  # so each target of one family could be shared
+    shared = {}
+    for d in families[0] + families[1]:
+        assert shared.setdefault((d.kind, d.target.n), d.target) is d.target
+    over5 = degenerations(first, 5) + degenerations(second, 5)
+    assert all(d.target.p == 5 for d in over5)
+    assert not {id(d.target) for d in over5} & {id(t) for t in shared.values()}
+
+
 @pytest.mark.parametrize("aff, p", [(fig3_affine(), 3), (decone(catalog.braid_a3(), 2), 3)])
 def test_family_shares_one_source_algebra(aff, p, monkeypatch):
+    degeneration._model.cache_clear()  # so that every target is built here
     built = []
     honest = OSAlgebra.__init__
 
@@ -458,7 +501,6 @@ def test_family_matches_maps_built_and_verified_alone(members):
                 assert (batched.kind, batched.class_index) == (single.kind, single.class_index)
                 assert batched.deg1_matrix == single.deg1_matrix
                 assert batched.deg2_matrix == single.deg2_matrix
-                assert batched.verified and not single.verified
                 assert verify_homomorphism(single)
             if family:
                 assert verify_homomorphism(*family)
@@ -549,7 +591,6 @@ def test_degenerations_are_invariant_under_relabelling(members):
                 targets = [sorted((d.kind, d.target.n, d.target.dim2) for d in f)
                            for f in families]
                 assert targets[0] == targets[1]
-                assert all(d.verified for f in families for d in f)
                 if not families[0]:
                     assert old.num_classes == 1
                     continue

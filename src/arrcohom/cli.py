@@ -110,6 +110,7 @@ def _row_strings(blocks, sep: str):
 
 # an input token: ASCII digits only, so no "1_0" and no non-ASCII digit
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_ROW = re.compile(" ".join([_INTEGER.pattern] * 3))  # a row's split tokens, joined by a space
 _QUOTE = 40  # a parse error quotes a longer row's first this many characters
 
 
@@ -126,9 +127,10 @@ def read_arrangement_file(path: str) -> ProjArrangement:
             continue
         parts = text.split()
         try:
-            if len(parts) != 3 or not all(_INTEGER.fullmatch(t) for t in parts):
+            if not _ROW.fullmatch(" ".join(parts)):
                 raise ValueError
-            triples.append(tuple(int(t) for t in parts))
+            a, b, c = parts
+            triples.append((int(a), int(b), int(c)))
         except ValueError:  # also an integer past int's digit limit
             got = repr(raw[:_QUOTE]) + (f"... ({len(raw)} characters)" if len(raw) > _QUOTE else "")
             raise ParseError(f"{path}:{lineno}: expected three integers, got {got}") from None

@@ -9,10 +9,11 @@ past the inner dimension where even the halves could overflow.
 One elimination routine, ``_rref_raw``, serves every rank, kernel and
 quotient. Its matrices are stored densely, but each pivot at row r and
 column c updates only the rows with a nonzero entry in column c, and in
-them only the columns where the normalized row r is nonzero. Past one
-scan of column c and of row r per pivot, a sparse matrix such as d1
-costs the arithmetic its nonzeros need (Gilbert and Peierls, SIAM J.
-Sci. Stat. Comput. 9, 1988), not its full size.
+them only the columns where the normalized row r is nonzero; a pivot row
+found below r is swapped in from column c on, and it is kept out of its
+own update by a zero multiplier. Past one scan of column c and of row r
+per pivot, a sparse matrix such as d1 costs the arithmetic its nonzeros
+need (Gilbert and Peierls, SIAM J. Sci. Stat. Comput. 9, 1988).
 
 The public constructors ``FpVector`` and ``FpMatrix`` are the trust boundary:
 they check the modulus, refuse non-integer entries and reduce every entry.
@@ -80,10 +81,11 @@ def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     nonzero entry. The entries are reduced mod p on entry, into a new
     C-ordered array whatever the layout of ``a``, which is left unchanged.
 
-    A pivot at row r and column c is normalized on columns c onward (unless
-    it is already 1), then cleared from every other row with a nonzero
-    entry in column c, above and below r, at the columns where row r is
-    nonzero only: elsewhere the update would subtract zero."""
+    The pivot row, swapped in from row top > r on columns c onward only
+    (both rows are zero left of c), is normalized there unless its pivot is
+    1, then cleared from every row with a nonzero entry in column c, above
+    and below r, at the columns where row r is nonzero only (elsewhere the
+    update would subtract zero), under a zero multiplier for row r itself."""
     a = np.remainder(a, p, order="C")
     rows, cols = a.shape
     flat = a.reshape(-1)  # a view: the updates below write through it into a
@@ -97,18 +99,19 @@ def _rref_raw(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if i == hit.size:
             continue
         top = int(hit[i])
-        if top != r:
-            a[[r, top]] = a[[top, r]]
-        # rows to clear: the swap moved top's nonzero entry to r and r's zero to top
-        hit = np.concatenate((hit[:i], hit[i + 1:]))
         row = a[r, c:]
+        if top != r:  # rows r..top are zero left of column c
+            row[:], a[top, c:] = a[top, c:], row.copy()
+            hit[i] = r  # the swap moved top's nonzero entry to r
         if row[0] != 1:
             row *= pow(int(row[0]), -1, p)
             row %= p
         nz = row.nonzero()[0]  # nz[0] == 0: column c itself
         at = (hit * cols + c)[:, None] + nz  # flat offsets of those rows at those columns
         blk = flat[at]
-        blk -= blk[:, :1] * row[nz]
+        prod = blk[:, :1] * row[nz]
+        prod[i] = 0  # row r's multiplier is zero: it is left as it is
+        blk -= prod
         blk %= p
         flat[at] = blk
         pivots.append(c)

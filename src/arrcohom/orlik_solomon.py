@@ -150,7 +150,7 @@ class OSAlgebra:
         is S_X(xi) [l = j] - [j on X] xi_l: -xi_l at every line of X, anchor
         included, plus S_X(xi) at column l. With ``rows``, only the first
         ``rows`` rows are built (all dim2 if there are fewer), in
-        O(rows * n) memory; the whole matrix takes O(dim2 * n)."""
+        O(rows * n) time and memory; the whole matrix takes O(dim2 * n)."""
         self._check(xi)
         r = self.dim2 if rows is None else min(rows, self.dim2)
         pt, ln, x, sym = self._sym_point[:r], self._sym_line, xi.data, np.arange(r)
@@ -163,7 +163,11 @@ class OSAlgebra:
         cells = np.repeat(sym, k)
         shift = np.repeat(self._sym_start[pt] - np.cumsum(k) + k, k)
         d1[cells, ln[shift + np.arange(cells.size)]] = -x[ln[cells]]
-        d1[sym, ln[:r]] += self._factors(x)[0][:r]
+        # S_X(xi) at these rows' points only, up to the next point's first symbol
+        own = self._sym_start[:pt[-1] + 1 if r else 0]
+        end = self._sym_start[own.size] if own.size < self._anchor.size else self.dim2
+        sums = x[self._anchor[:own.size]] + np.add.reduceat(x[ln[:end]], own)
+        d1[sym, ln[:r]] += sums[pt]
         d1 %= self.p
         return FpMatrix._of(self.p, d1)
 

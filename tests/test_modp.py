@@ -325,12 +325,15 @@ def _d1_sources():
     return ([arr for _, arr in catalog.sweep_members()] + box_sources(50, seed=2024))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
 def test_rref_matches_full_matrix_elimination_on_d1(p):
-    # the wedge matrix of the all-ones form at line 0, as the dense check builds it
+    # the wedge matrix of the all-ones form at line 0, and its top 2n rows,
+    # the block the dense check eliminates, where box inputs often swap the
+    # pivot row in from below
     for arr in _d1_sources():
         alg = OSAlgebra(decone(arr, 0), p)
         _assert_matches_full_matrix_rref(alg.wedge_matrix(alg.ones()).data, p)
+        _assert_matches_full_matrix_rref(alg.wedge_matrix(alg.ones(), 2 * alg.n).data, p)
 
 
 @pytest.mark.parametrize("p", DIFF_PRIMES)

@@ -329,12 +329,27 @@ def test_wedge_matrix_closed_form_is_the_product(members, p):
             + [decone(catalog.pencil(5), 0)])
     assert any(aff.finite_points == () for aff in affs)  # the pencil: dim2 = 0
     rng = random.Random(17)
+    splits = 0
     for aff in affs:
         alg = OSAlgebra(aff, p)
         block = FpMatrix(p, np.eye(alg.n, dtype=np.int64))
+        # a truncated matrix is the full one's first rows, also where the
+        # cut falls inside the symbols of a point of multiplicity >= 3
+        cuts = {0, 1, 2 * alg.n, alg.dim2, alg.dim2 + 1}
+        first = np.cumsum([0] + [len(inc) - 1 for inc in aff.finite_points])
+        split = next((int(s) + 1 for s, inc in zip(first, aff.finite_points)
+                      if len(inc) >= 3), None)
+        if split is not None:
+            cuts.add(split)
+            splits += 1
         for xi in (alg.ones(), FpVector(p, np.zeros(alg.n, dtype=np.int64)),
                    *(FpVector(p, [rng.randrange(p) for _ in range(alg.n)]) for _ in range(2))):
             repeated = FpMatrix(p, np.repeat(xi.data[:, None], alg.n, axis=1))
             d1 = alg.wedge_matrix(xi)
             assert d1.shape == (alg.dim2, alg.n)
             assert d1 == block_wedge(alg, repeated, block), (aff, xi)
+            for rows in cuts:
+                top = alg.wedge_matrix(xi, rows).data
+                assert top.shape == (min(rows, alg.dim2), alg.n)
+                assert np.array_equal(top, d1.data[:rows]), (aff, xi, rows)
+    assert splits

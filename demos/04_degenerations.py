@@ -6,8 +6,8 @@ central model; the directional degeneration keeps one class and pushes
 everything else onto a single transversal. Both are genuine algebra
 maps: every defining relation of the source dies in the target.
 ``degenerations`` builds a deconing's whole family and verifies it in one
-pass; ``delta_tot`` and ``delta_dir`` build one map each, which is
-re-verified here on its own.
+pass; ``delta_tot`` and ``delta_dir`` build one map each from the source
+``OSAlgebra``, which is re-verified here on its own.
 """
 
 from arrcohom import (OSAlgebra, class_sums, decone, degenerations, delta_dir, delta_tot,
@@ -28,14 +28,15 @@ print("verified family: " + ", ".join(
 ) + f" -> {verify_homomorphism(*family)}")
 
 # total degeneration: classes {0,1}, {2}, {3,4} map onto three concurrent lines
-tot = delta_tot(aff, p)
+alg = OSAlgebra(aff, p)  # the source algebra, shared by the maps built from it
+tot = delta_tot(alg)
 print("\ntotal degeneration, degree 1 matrix (rows = target generators):")
 for row in tot.deg1_matrix.tolist():
     print(f"  {row}")
 print(f"verified as an algebra map: {verify_homomorphism(tot)}")
 
 # directional degeneration with respect to the class {3, 4}
-dd = delta_dir(aff, 2, p)
+dd = delta_dir(alg, 2)
 print("\ndirectional degeneration for class 2, degree 1 matrix:")
 for row in dd.deg1_matrix.tolist():
     print(f"  {row}")
@@ -54,7 +55,6 @@ print(f"class sums of the all-ones form: {class_sums(tot, src.ones()).tolist()}"
 # the projective source), every kernel vector of the restricted wedge map
 # has all class sums zero
 basis = sum_zero_basis(aff.n, p)
-alg = OSAlgebra(aff, p)
 restricted = alg.wedge_matrix(alg.ones()) @ basis
 print("\nkernel forms and their class sums:")
 for kv in restricted.kernel_basis():

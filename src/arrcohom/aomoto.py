@@ -78,8 +78,8 @@ def _rank_d1(alg: OSAlgebra, xi: FpVector, bordered: bool = False) -> int:
     stays O(n^2 + dim2 * len(K))."""
     p, n = alg.p, alg.n
     top = _d1(alg, xi, 2 * n).data
-    if bordered:
-        top = np.vstack((np.ones((1, n), np.int64), top))
+    if bordered:  # below: on top, as the first pivot row, it fills in every row
+        top = np.vstack((top, np.ones((1, n), np.int64)))
     kt = _kernel_raw(top, p).T  # K^T: one kernel vector per column
     xy, j = FpMatrix._of(p, np.column_stack((xi.data, kt))), np.arange(1, kt.shape[1] + 1)
     rest = alg.wedge_columns(xy, 0 * j, j).data[2 * n:]  # xi is column 0, y_j column j

@@ -4,14 +4,15 @@ The total degeneration collapses every parallel class of an affine
 arrangement to a single line through one common point; the directional
 degeneration keeps one class and collapses everything else to a single
 transversal. Both are materialized as matrices on the degree 1 and degree 2
-coordinates. ``delta_tot`` and ``delta_dir`` build one map each, unverified;
-``degenerations`` builds a deconing's family over one source algebra and
-verifies it in one ``verify_homomorphism`` call in the direct sum of its
-targets. A map's degree 2 matrix is ``OSAlgebra.wedge_columns`` of its
-degree 1 matrix's columns; the check takes the point sums of the family's
-stacked degree 1 matrices once, for every stage. Target algebras are
-shared per process by model, size and p. A family that fails is a bug and
-raises, so every map ``degenerations`` returns has passed the check.
+coordinates. ``delta_tot`` and ``delta_dir`` build one map each from a source
+``OSAlgebra``, unverified; ``degenerations`` builds a deconing's family over
+one source algebra and verifies it in one ``verify_homomorphism`` call in the
+direct sum of its targets, one product per parallel pair, basis symbol and
+two symbols of one point, read off the source's index arrays. A map's degree
+2 matrix is ``OSAlgebra.wedge_columns`` of its degree 1 matrix's columns.
+Target algebras are shared per process by model, size and p. A family that
+fails is a bug and raises, so every map ``degenerations`` returns has passed
+the check.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import accumulate
 
 import numpy as np
 
 from .aomoto import central_fixture, parallel_fixture
 from .geometry import AffineArrangement
 from .modp import FpMatrix, FpVector, ModulusMismatchError, _check_modulus
-from .orlik_solomon import OSAlgebra, relation_pairs
+from .orlik_solomon import OSAlgebra
 
 __all__ = [
     "DegenerationMap",
@@ -41,9 +42,9 @@ __all__ = [
     "NoTransversalError",
 ]
 
-# Pairs, triples and symbols are checked this many at a time, so that no
-# temporary grows with their number: each holds this many columns of the
-# family's stacked target dim2.
+# Pairs and symbols are checked this many at a time, so that no temporary
+# grows with their number: each holds this many columns of the family's
+# stacked target dim2.
 _CHUNK = 256
 # Seeded pairs on which the last stage cross-checks products; exact stages decide.
 _PAIRS = 1
@@ -87,16 +88,6 @@ def induced_deg2(source: OSAlgebra, target: OSAlgebra, deg1_matrix: FpMatrix) ->
     return target.wedge_columns(deg1_matrix, anchors, lines)
 
 
-def _source(aff, p: int) -> OSAlgebra:
-    """The source algebra of a map over ``aff``: ``aff`` itself when it is
-    already an ``OSAlgebra`` over F_p, so that maps built from it share it."""
-    if not isinstance(aff, OSAlgebra):
-        return OSAlgebra(aff, p)
-    if aff.p != _check_modulus(p):
-        raise ModulusMismatchError(f"source algebra over p={aff.p}, map over p={p}")
-    return aff
-
-
 @functools.cache  # one algebra per model, size and p, shared by every map onto it
 def _model(fixture, size: int, p: int) -> OSAlgebra:
     return OSAlgebra(fixture(size), p)
@@ -109,10 +100,9 @@ def _build(kind, class_index, source, fixture, size, m) -> DegenerationMap:
                            induced_deg2(source, target, deg1))
 
 
-def delta_tot(aff: AffineArrangement | OSAlgebra, p: int) -> DegenerationMap:
-    """Collapse every parallel class onto one line of the central model.
-    ``aff`` may be its ``OSAlgebra`` over F_p, shared as the source."""
-    source = _source(aff, p)
+def delta_tot(source: OSAlgebra) -> DegenerationMap:
+    """Collapse every parallel class of ``source``'s arrangement onto one line
+    of the central model, over ``source``'s prime."""
     aff = source.aff
     s = aff.num_classes
     if s < 2:
@@ -123,10 +113,9 @@ def delta_tot(aff: AffineArrangement | OSAlgebra, p: int) -> DegenerationMap:
     return _build("total", None, source, central_fixture, s, m)
 
 
-def delta_dir(aff: AffineArrangement | OSAlgebra, class_index: int, p: int) -> DegenerationMap:
-    """Keep one parallel class, collapse all other lines to the transversal of
-    the almost-parallel model. ``aff`` may be its ``OSAlgebra`` over F_p."""
-    source = _source(aff, p)
+def delta_dir(source: OSAlgebra, class_index: int) -> DegenerationMap:
+    """Keep one parallel class of ``source``'s arrangement, collapse all other
+    lines to the transversal of the almost-parallel model."""
     aff = source.aff
     if not 0 <= class_index < aff.num_classes:
         raise BadClassError(f"class {class_index} out of range 0..{aff.num_classes - 1}")
@@ -140,11 +129,16 @@ def delta_dir(aff: AffineArrangement | OSAlgebra, class_index: int, p: int) -> D
     return _build("directional", class_index, source, parallel_fixture, r, m)
 
 
-def _chunks(tuples):
-    """Index tuples in blocks of at most _CHUNK, one index array per position."""
-    it = iter(tuples)
-    while block := list(islice(it, _CHUNK)):
-        yield np.array(block, dtype=np.intp).T
+def _group_pairs(sizes):
+    """Positions u < v of every two members of one group, for consecutive
+    groups of the given sizes, in ``combinations`` order, as index arrays in
+    blocks of at most _CHUNK pairs."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    later = np.repeat(np.cumsum(sizes) - 1, sizes) - np.arange(sizes.sum())  # members after u
+    u = np.repeat(np.arange(later.size), later)
+    v = u + 1 + np.arange(u.size) - np.repeat(np.cumsum(later) - later, later)
+    for s in range(0, u.size, _CHUNK):
+        yield u[s:s + _CHUNK], v[s:s + _CHUNK]
 
 
 def _direct_sum(algs) -> OSAlgebra:
@@ -165,15 +159,17 @@ def _direct_sum(algs) -> OSAlgebra:
 def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     """Check that every map kills every source relation and is multiplicative.
 
-    Stages: every parallel pair; the triples (a, j, k) through each point's
-    anchor a, which span all its triple relations as d(e_ijk) = d(e_ajk) -
-    d(e_aik) + d(e_aij); each degree 2 matrix against the wedge of degree 1
-    images on every basis symbol (X, j), the product of a and line j. Each
-    stage runs once for the whole family, in the direct sum of the targets,
-    whose products are the maps' stacked. These stages decide: symbols and
-    triples (a, u, v) give deg2(e_u^e_v) = f(u)^f(v) for lines that meet,
-    pairs for parallel lines, so by bilinearity deg2(x^y) = f(x)^f(y), which
-    `_PAIRS` seeded one-form pairs recheck.
+    Stages, each once for the family in the direct sum of the targets (whose
+    products are the maps' stacked), one product per item: every two lines
+    i, j of a parallel class, f(i) ^ f(j) = 0; every symbol (X, j), which is
+    e_a ^ e_j for X's smallest line a, deg2(X, j) = f(a) ^ f(j); every two
+    symbols (X, j), (X, k) of a point, deg2(X, k) - deg2(X, j) = f(j) ^ f(k).
+    Where the symbol stage holds, the last is the three-term relation of
+    (a, j, k), since e_j ^ e_k = e_a ^ e_k - e_a ^ e_j, and those span all
+    of X's as d(e_ijk) = d(e_ajk) - d(e_aik) + d(e_aij); where it fails, the
+    verdict is false either way. So deg2(e_u ^ e_v) = f(u) ^ f(v) for every
+    u < v, and by bilinearity deg2(x ^ y) = f(x) ^ f(y), which `_PAIRS`
+    seeded one-form pairs recheck.
     """
     if not dmaps:
         raise ValueError("verify_homomorphism needs at least one map")
@@ -191,17 +187,17 @@ def verify_homomorphism(*dmaps: DegenerationMap) -> bool:
     def image_wedges(i, j) -> np.ndarray:
         return target._products(factors, i, j)
 
-    for i, j in _chunks(relation_pairs(src.aff)):
-        if image_wedges(i, j).any():
-            return False
-    # C(m - 1, 2) triples per point, not C(m, 3): d(e_ijk) = d(e_ajk) - d(e_aik) + d(e_aij)
-    for i, j, k in _chunks((inc[0], j, k) for inc in src.aff.finite_points
-                           for j, k in combinations(inc[1:], 2)):
-        if ((image_wedges(i, j) - image_wedges(i, k) + image_wedges(j, k)) % src.p).any():
+    sizes, flat = src.aff.class_arrays
+    for u, v in _group_pairs(sizes):
+        if image_wedges(flat[u], flat[v]).any():
             return False
     anchors, lines = src.symbol_factors()
     for cut in (slice(s, s + _CHUNK) for s in range(0, src.dim2, _CHUNK)):
         if not np.array_equal(deg2.data[:, cut], image_wedges(anchors[cut], lines[cut])):
+            return False
+    for u, v in _group_pairs(src.aff.point_arrays[0] - 1):  # two symbols of one point
+        if not np.array_equal((deg2.data[:, v] - deg2.data[:, u]) % src.p,
+                              image_wedges(lines[u], lines[v])):
             return False
     draws = np.array(random.Random(0).choices(range(src.p), k=2 * src.n * _PAIRS), dtype=np.int64)
     forms = [FpVector._of(src.p, d) for d in draws.reshape(2 * _PAIRS, src.n)]  # x, y, x, ...
@@ -220,7 +216,7 @@ def degenerations(aff: AffineArrangement, p: int) -> list[DegenerationMap]:
     if aff.num_classes < 2:
         return []
     source = OSAlgebra(aff, p)  # one source algebra for the whole family
-    maps = [delta_tot(source, p)] + [delta_dir(source, a, p) for a in range(aff.num_classes)]
+    maps = [delta_tot(source)] + [delta_dir(source, a) for a in range(aff.num_classes)]
     if not verify_homomorphism(*maps):
         failing = ", ".join(_describe(d) for d in maps if not verify_homomorphism(d))
         raise RuntimeError(

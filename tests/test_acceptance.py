@@ -138,10 +138,10 @@ def test_criterion_07_degenerations_well_defined(members):
             for p in (2, 3, 5):
                 maps = []
                 if aff.num_classes >= 2:
-                    maps.append(delta_tot(aff, p))
+                    maps.append(delta_tot(OSAlgebra(aff, p)))
                 for a in range(aff.num_classes):
                     if len(aff.classes[a]) < aff.n:
-                        maps.append(delta_dir(aff, a, p))
+                        maps.append(delta_dir(OSAlgebra(aff, p), a))
                 for dmap in maps:
                     checked += 1
                     if not verify_homomorphism(dmap):

@@ -270,7 +270,10 @@ def test_incidence_kernel_matches_definition_at_400_lines(make):
     aff = decone(arr, 0)
     for p, (res,) in beta1_sweep(arr.lattice, [0], (2, 3, 5, 7)).items():
         alg = OSAlgebra(aff, p)
-        assert beta1_full(alg, alg.ones()) == res, p
+        full = beta1_full(alg, alg.ones())
+        assert full == res, p
+        if aff.n % p:  # n = 399 is invertible mod 2 and 5
+            assert beta1_restricted(alg, alg.ones()).value == full.value, p
 
 
 def _check_product_rank(alg, xi):

@@ -22,6 +22,7 @@ from arrcohom.catalog import BUILTINS, BadParameterError, build_named
 from arrcohom.cli import canonical_json, main
 from arrcohom.degeneration import delta_dir, delta_tot, verify_homomorphism
 from arrcohom.geometry import IntersectionLattice, decone, intersect
+from arrcohom.orlik_solomon import OSAlgebra
 from conftest import box_sources
 from test_geometry import _huge_arrangement
 
@@ -297,7 +298,8 @@ def test_degenerate_json_matches_maps_built_and_verified_alone(capsys, argv):
     arr = build_named(args["--builtin"], int(args["--m"]) if "--m" in args else None)
     p, infinity = int(args["--prime"]), int(args.get("--infinity", 0))
     aff = decone(arr, infinity)
-    alone = [delta_tot(aff, p)] + [delta_dir(aff, a, p) for a in range(aff.num_classes)]
+    source = OSAlgebra(aff, p)
+    alone = [delta_tot(source)] + [delta_dir(source, a) for a in range(aff.num_classes)]
     expected = {
         "p": p,
         "infinity": infinity,

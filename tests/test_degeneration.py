@@ -32,7 +32,7 @@ def fig3_affine():
 
 
 def test_delta_tot_fig3_matrix():
-    dmap = delta_tot(fig3_affine(), 3)
+    dmap = delta_tot(OSAlgebra(fig3_affine(), 3))
     assert dmap.kind == "total"
     assert dmap.target.n == 3
     assert dmap.deg1_matrix.tolist() == [
@@ -44,7 +44,7 @@ def test_delta_tot_fig3_matrix():
 
 def test_delta_tot_braid_targets_three_line_model():
     aff = decone(catalog.braid_a3(), 2)  # classes sized 2, 2, 1
-    dmap = delta_tot(aff, 5)
+    dmap = delta_tot(OSAlgebra(aff, 5))
     assert dmap.target.n == 3
     assert dmap.target.dim2 == 2
     assert verify_homomorphism(dmap)
@@ -55,12 +55,12 @@ def test_delta_tot_on_central_input_is_bijective_relabeling():
     arr = catalog.near_pencil(5)
     aff = decone(arr, 4)
     assert all(len(c) == 1 for c in aff.classes)
-    dmap = delta_tot(aff, 3)
+    dmap = delta_tot(OSAlgebra(aff, 3))
     assert dmap.deg1_matrix == FpMatrix(3, np.eye(aff.n, dtype=np.int64))
 
 
 def test_delta_dir_fig3_matrix():
-    dmap = delta_dir(fig3_affine(), 2, 3)
+    dmap = delta_dir(OSAlgebra(fig3_affine(), 3), 2)
     assert dmap.kind == "directional"
     assert dmap.class_index == 2
     assert dmap.target.n == 3
@@ -80,7 +80,7 @@ def test_delta_dir_image_of_ones(members):
                 r = len(cls)
                 if r == aff.n:
                     continue
-                dmap = delta_dir(aff, a, p)
+                dmap = delta_dir(OSAlgebra(aff, p), a)
                 expected = [1] * r + [(aff.n - r) % p]
                 assert dmap.map1(dmap.source.ones()).tolist() == expected
 
@@ -92,7 +92,7 @@ def test_delta_dir_kills_balanced_outside_coefficients():
         alg = OSAlgebra(aff, p)
         classes = aff.classes
         for a, cls in enumerate(classes):
-            dmap = delta_dir(aff, a, p)
+            dmap = delta_dir(alg, a)
             coeffs = [0] * aff.n
             for i in cls:
                 coeffs[i] = rng.randrange(p)
@@ -114,11 +114,11 @@ def test_verify_homomorphism_catalog(members):
         aff = decone(arr, 0)
         for p in (2, 3, 5):
             if aff.num_classes >= 2:
-                assert verify_homomorphism(delta_tot(aff, p))
+                assert verify_homomorphism(delta_tot(OSAlgebra(aff, p)))
             for a in range(aff.num_classes):
                 if len(aff.classes[a]) == aff.n:
                     continue
-                assert verify_homomorphism(delta_dir(aff, a, p))
+                assert verify_homomorphism(delta_dir(OSAlgebra(aff, p), a))
 
 
 def _exact_verdict(*dmaps):
@@ -133,7 +133,7 @@ def test_corrupted_map_fails_verification():
     # a parallel pair then maps to a nonzero wedge
     aff = decone(catalog.braid_a3(), 2)
     p = 3
-    good = delta_tot(aff, p)
+    good = delta_tot(OSAlgebra(aff, p))
     m = np.array(good.deg1_matrix.tolist(), dtype=np.int64)
     m[:, [2, 3]] = m[:, [3, 2]]
     deg1 = FpMatrix(p, m)
@@ -147,6 +147,24 @@ def test_corrupted_map_fails_verification():
 # the checks run over pairs and triples in blocks; a width of 1 or 2 puts
 # block boundaries everywhere
 CHUNK_WIDTHS = pytest.mark.parametrize("chunk", [1, 2, degeneration._CHUNK])
+
+
+@CHUNK_WIDTHS
+def test_group_pairs_are_combinations_per_group(chunk, monkeypatch):
+    # the blocks concatenate to every two members of one group, positions
+    # counted across the groups, in combinations order
+    monkeypatch.setattr(degeneration, "_CHUNK", chunk)
+    rng = random.Random(37)
+    for _ in range(50):
+        sizes = [rng.choice([0, 1, rng.randint(2, 9)]) for _ in range(rng.randint(0, 8))]
+        starts = np.cumsum([0] + sizes)
+        expected = [pair for s, k in zip(starts, sizes)
+                    for pair in combinations(range(s, s + k), 2)]
+        blocks = list(degeneration._group_pairs(sizes))
+        assert all(len(u) == len(v) == chunk for u, v in blocks[:-1])
+        assert all(0 < len(u) == len(v) <= chunk for u, v in blocks[-1:])
+        got = [(int(a), int(b)) for u, v in blocks for a, b in zip(u, v)]
+        assert got == expected, sizes
 
 
 @CHUNK_WIDTHS
@@ -191,7 +209,8 @@ def test_parallel_pair_relation_fails_where_products_agree():
 @CHUNK_WIDTHS
 def test_flipped_degree2_entry_fails_verification(chunk, monkeypatch):
     monkeypatch.setattr(degeneration, "_CHUNK", chunk)
-    for dmap in (delta_tot(fig3_affine(), 3), delta_dir(fig3_affine(), 0, 3)):
+    source = OSAlgebra(fig3_affine(), 3)
+    for dmap in (delta_tot(source), delta_dir(source, 0)):
         assert verify_homomorphism(dmap)
         m = np.array(dmap.deg2_matrix.tolist(), dtype=np.int64)
         m[0, 0] += 1
@@ -398,13 +417,9 @@ def test_family_shares_one_source_algebra(aff, p, monkeypatch):
 
 def test_constructors_share_a_given_source_algebra():
     source = OSAlgebra(fig3_affine(), 3)
-    assert delta_tot(source, 3).source is source
-    assert delta_dir(source, 1, 3).source is source
-    assert delta_tot(source, 3).deg2_matrix == delta_tot(fig3_affine(), 3).deg2_matrix
-    with pytest.raises(ModulusMismatchError):
-        delta_tot(source, 5)
-    with pytest.raises(ModulusMismatchError):
-        delta_dir(source, 0, 2)
+    assert delta_tot(source).source is source
+    assert delta_dir(source, 1).source is source
+    assert delta_tot(source).deg2_matrix == delta_tot(OSAlgebra(fig3_affine(), 3)).deg2_matrix
 
 
 def test_verify_rejects_no_maps():
@@ -475,13 +490,14 @@ def test_family_verification_wedges_once_per_stage(monkeypatch):
 def test_verify_rejects_maps_over_different_sources():
     aff = fig3_affine()
     with pytest.raises(ValueError, match="share their source"):
-        verify_homomorphism(delta_tot(aff, 3), delta_tot(decone(catalog.fig3(), 1), 3))
+        verify_homomorphism(delta_tot(OSAlgebra(aff, 3)),
+                            delta_tot(OSAlgebra(decone(catalog.fig3(), 1), 3)))
 
 
 def test_verify_rejects_maps_over_different_primes():
     aff = fig3_affine()
     with pytest.raises(ValueError, match="share their source"):
-        verify_homomorphism(delta_tot(aff, 3), delta_dir(aff, 0, 5))
+        verify_homomorphism(delta_tot(OSAlgebra(aff, 3)), delta_dir(OSAlgebra(aff, 5), 0))
 
 
 def test_family_matches_maps_built_and_verified_alone(members):
@@ -494,8 +510,8 @@ def test_family_matches_maps_built_and_verified_alone(members):
             family = degenerations(aff, p)
             alone = []
             if aff.num_classes >= 2:
-                alone = [delta_tot(aff, p)] + [delta_dir(aff, a, p)
-                                               for a in range(aff.num_classes)]
+                source = OSAlgebra(aff, p)
+                alone = [delta_tot(source)] + [delta_dir(source, a) for a in range(aff.num_classes)]
             assert len(family) == len(alone)
             for batched, single in zip(family, alone):
                 assert (batched.kind, batched.class_index) == (single.kind, single.class_index)
@@ -509,7 +525,7 @@ def test_family_matches_maps_built_and_verified_alone(members):
 def test_degree2_matrix_matches_wedges_exhaustively():
     aff = fig3_affine()
     for p in (2, 3):
-        dmap = delta_tot(aff, p)
+        dmap = delta_tot(OSAlgebra(aff, p))
         src, tgt = dmap.source, dmap.target
         for i, j in combinations(range(src.n), 2):
             lhs = dmap.deg2_matrix @ src.wedge11(src.unit(i), src.unit(j))
@@ -519,14 +535,14 @@ def test_degree2_matrix_matches_wedges_exhaustively():
 
 def test_class_sums_examples():
     aff = fig3_affine()
-    dmap = delta_tot(aff, 3)
+    dmap = delta_tot(OSAlgebra(aff, 3))
     alg = dmap.source
     # two lines in one class cancel
     assert class_sums(dmap, alg.unit(0) - alg.unit(1)).is_zero()
     # the all-ones form sums to the class sizes
     assert class_sums(dmap, alg.ones()).tolist() == [2, 1, 2]
     with pytest.raises(ValueError):
-        class_sums(delta_dir(aff, 0, 3), alg.ones())
+        class_sums(delta_dir(alg, 0), alg.ones())
 
 
 def test_total_image_preserves_coefficient_sum(members):
@@ -535,7 +551,7 @@ def test_total_image_preserves_coefficient_sum(members):
         if aff.num_classes < 2:
             continue
         for p in (2, 3, 5):
-            dmap = delta_tot(aff, p)
+            dmap = delta_tot(OSAlgebra(aff, p))
             assert dmap.map1(dmap.source.ones()).sum() == aff.n % p
 
 
@@ -552,7 +568,7 @@ def test_kernel_forms_have_zero_class_sums():
                 for kv in restricted.kernel_basis():
                     eta = basis @ kv
                     if aff.num_classes >= 2:
-                        dmap = delta_tot(aff, p)
+                        dmap = delta_tot(OSAlgebra(aff, p))
                         assert class_sums(dmap, eta).is_zero()
                     else:
                         assert eta.sum() == 0
@@ -561,11 +577,11 @@ def test_kernel_forms_have_zero_class_sums():
 def test_degeneration_errors():
     pencil_aff = decone(catalog.pencil(4), 0)
     with pytest.raises(TooFewClassesError):
-        delta_tot(pencil_aff, 3)
+        delta_tot(OSAlgebra(pencil_aff, 3))
     with pytest.raises(NoTransversalError):
-        delta_dir(pencil_aff, 0, 3)
+        delta_dir(OSAlgebra(pencil_aff, 3), 0)
     with pytest.raises(BadClassError):
-        delta_dir(fig3_affine(), 7, 3)
+        delta_dir(OSAlgebra(fig3_affine(), 3), 7)
 
 
 def test_degenerations_are_invariant_under_relabelling(members):
